@@ -18,8 +18,8 @@
 //! Departure from the paper, documented in DESIGN.md: the vision planner
 //! uses deterministic matched filters instead of trained CNN weights (no
 //! training data exists in this environment), and consumes the center
-//! camera; the left/right cameras still feed the data distributor and the
-//! diversity studies.
+//! camera only; the left/right cameras feed only the diversity studies,
+//! and the closed loop does not render them unless an observer asks.
 //!
 //! ## Example
 //!

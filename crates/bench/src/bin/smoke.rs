@@ -112,11 +112,24 @@ fn main() {
     let critical_count = |runs: &[diverseav_faultinj::RunResult]| -> u64 {
         runs.iter().filter(|r| is_safety_critical(r.incident.map(|k| k.label()))).count() as u64
     };
-    let yield_line = |label: &str, phase: &str, secs: f64, runs: usize, crit: u64| {
-        println!("  {label:<28} {crit:>3} safety-critical / {runs} runs ({secs:.3} s)");
-        perf::record_critical(format!("{campaign} [{label}]"), phase, secs, runs, 0, 0, crit);
-    };
-    let start = Instant::now();
+    let counters =
+        || (metrics::counter_get("runtime.ticks"), metrics::counter_get("deadline.misses"));
+    // `before` holds the counters sampled when the timed campaign started.
+    let yield_line =
+        |label: &str, phase: &str, secs: f64, runs: usize, before: (u64, u64), crit| {
+            let (ticks, misses) = counters();
+            println!("  {label:<28} {crit:>3} safety-critical / {runs} runs ({secs:.3} s)");
+            perf::record_critical(
+                format!("{campaign} [{label}]"),
+                phase,
+                secs,
+                runs,
+                ticks - before.0,
+                misses - before.1,
+                crit,
+            );
+        };
+    let (start, before) = (Instant::now(), counters());
     let uniform = run_campaign(campaign, &yscale, None, SensorConfig::default());
     let ucrit = critical_count(&uniform.injected);
     yield_line(
@@ -124,15 +137,16 @@ fn main() {
         "uniform",
         start.elapsed().as_secs_f64(),
         uniform.injected.len(),
+        before,
         ucrit,
     );
-    let start = Instant::now();
+    let (start, before) = (Instant::now(), counters());
     let guided =
         run_guided_campaign(campaign, &yscale, SensorConfig::default(), GuidedConfig { epochs: 2 })
             .expect("quick-scale guided campaign plans");
     let gcrit = critical_count(&guided.injected);
     let gsecs = start.elapsed().as_secs_f64();
-    yield_line("guided yield (2 epochs)", "guided", gsecs, guided.injected.len(), gcrit);
+    yield_line("guided yield (2 epochs)", "guided", gsecs, guided.injected.len(), before, gcrit);
     let wrow = summarize_guided(&guided, BEST_TD);
     println!(
         "  weighted Table-I estimates: active {:.2}, hang/crash {:.2}, accidents {:.2}, \

@@ -19,7 +19,7 @@ use diverseav_faultinj::{
     FaultModelKind, FaultSpec, GoldenCache, RunConfig,
 };
 use diverseav_runtime::{LoopObserver, PolicyDriver, SimLoop, TickContext};
-use diverseav_simworld::{Scenario, ScenarioKind, SensorConfig, TrajPoint, World};
+use diverseav_simworld::{CameraSet, Scenario, ScenarioKind, SensorConfig, TrajPoint, World};
 use std::fmt::Write as _;
 
 /// Rolling-window sizes swept in Fig 7 (paper: 3..40).
@@ -212,7 +212,9 @@ pub fn fig5_report() -> String {
     }
 
     // --- Fig 5b: simulator cameras at 40 Hz on the test scenarios ---
-    /// Accumulates bit diffs between consecutive frames of all 3 cameras.
+    /// Accumulates bit diffs between consecutive frames of all 3 cameras,
+    /// so it demands the full suite itself instead of relying on the
+    /// driver's default.
     #[derive(Default)]
     struct CameraDiffs {
         prev: Option<Vec<diverseav_simworld::Image>>,
@@ -226,6 +228,9 @@ pub fn fig5_report() -> String {
                 }
             }
             self.prev = Some(ctx.frame.cameras.clone());
+        }
+        fn camera_demand(&self) -> CameraSet {
+            CameraSet::ALL
         }
     }
     let mut camera_diffs = CameraDiffs::default();

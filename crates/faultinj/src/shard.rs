@@ -334,9 +334,10 @@ impl ShardRun {
                     op,
                 }
             }
-            // Sensor faults ride shard schema v1 unchanged: realization
-            // seed in `cycle`, class label in `op`. Onset time is a pure
-            // function of the seed, so the artifact need not carry it.
+            // Sensor faults reuse the fabric site fields: realization
+            // seed in `cycle`, class label in `op`. The realized onset
+            // time travels separately, in the run line's
+            // `fault_onset_time` (schema v2).
             FaultSpec::Sensor(sf) => FaultSite {
                 profile: "SENSOR".to_string(),
                 unit: 0,

@@ -267,10 +267,13 @@ mod tests {
         // diffs cleanly.
         counter_add("test.metrics.order_b", 1);
         counter_add("test.metrics.order_a", 1);
-        let doc = render_json(&snapshot());
+        // One snapshot, rendered twice: other tests write to the shared
+        // registry concurrently, so a second snapshot may differ.
+        let snap = snapshot();
+        let doc = render_json(&snap);
         let ia = doc.find("test.metrics.order_a").expect("a rendered");
         let ib = doc.find("test.metrics.order_b").expect("b rendered");
         assert!(ia < ib, "keys sorted regardless of insertion order");
-        assert_eq!(doc, render_json(&snapshot()), "rendering is a pure function");
+        assert_eq!(doc, render_json(&snap), "rendering is a pure function");
     }
 }

@@ -242,9 +242,10 @@ impl FrameInjector {
                     frame.imu.yaw_rate = if h & 2 == 0 { 4.0 } else { -4.0 };
                     frame.imu.accel = 30.0;
                     frame.gps[0] += 500.0;
-                    // Saturate a hashed horizontal band of every camera
-                    // to vehicle-blue: a hallucinated obstacle.
-                    for cam in &mut frame.cameras {
+                    // Saturate a hashed horizontal band of every rendered
+                    // camera to vehicle-blue: a hallucinated obstacle.
+                    // Cameras outside the capture demand are 0×0.
+                    for cam in frame.cameras.iter_mut().filter(|c| c.height() > 0) {
                         let h_px = cam.height();
                         let band = (h % h_px as u64) as usize;
                         let lo = band.min(h_px.saturating_sub(8));
@@ -414,6 +415,45 @@ mod tests {
         inj.apply(&mut odd);
         assert!(even.speed > 10.0, "even-parity frame biased up");
         assert!(odd.speed < 10.0, "odd-parity frame biased down");
+    }
+
+    #[test]
+    fn absent_cameras_are_skipped_and_the_center_corrupts_identically() {
+        // A center-only capture leaves cameras 0 and 2 at 0×0; every
+        // class must tolerate that and corrupt the center camera exactly
+        // as it does in a full-suite frame.
+        let full_at = |step: u64| {
+            let mut f = frame_at(step);
+            f.cameras.clear();
+            for c in 0..3u8 {
+                let mut img = diverseav_simworld::Image::new(8, 6);
+                for (i, px) in img.data_mut().iter_mut().enumerate() {
+                    *px = (i as u8).wrapping_mul(37).wrapping_add(c.wrapping_mul(91));
+                }
+                f.cameras.push(img);
+            }
+            f.lidar = Some(vec![20.0; 16]);
+            f
+        };
+        for kind in SensorFaultKind::ALL {
+            let fault = SensorFault { kind, seed: 4242 };
+            let (mut full_inj, mut sparse_inj) =
+                (FrameInjector::new(fault), FrameInjector::new(fault));
+            for step in 0..128 {
+                let mut full = full_at(step);
+                let mut sparse = full_at(step);
+                sparse.cameras[0].reset(0, 0);
+                sparse.cameras[2].reset(0, 0);
+                full_inj.apply(&mut full);
+                sparse_inj.apply(&mut sparse);
+                assert_eq!(sparse.cameras[0].data(), &[] as &[u8], "{kind} grew an absent camera");
+                assert_eq!(sparse.cameras[2].data(), &[] as &[u8], "{kind} grew an absent camera");
+                full.cameras[0].reset(0, 0);
+                full.cameras[2].reset(0, 0);
+                assert_eq!(full, sparse, "{kind} differs from the full-suite frame at step {step}");
+            }
+            assert_eq!(full_inj.onset_time(), sparse_inj.onset_time());
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! Two time sources (see [`diverseav_obs::profile`]):
 //!
 //! * **Modeled** (default) — per-phase latency is a linear cost model
-//!   over the tick's work: pixels rendered, lidar rays cast, dynamic
-//!   fabric instructions executed ([`TickWork`]), NPCs stepped. Every
-//!   input is a pure function of the run seed, so the histograms and
-//!   deadline tallies are bit-identical for any `DIVERSEAV_THREADS`.
+//!   over the tick's work: the pixels and lidar rays of the configured
+//!   sensor suite (all three cameras, whichever of them the host chose
+//!   to render), dynamic fabric instructions executed ([`TickWork`]),
+//!   NPCs stepped. Every input is a pure function of the run seed, so
+//!   the histograms and deadline tallies are bit-identical for any
+//!   `DIVERSEAV_THREADS`.
 //!   The constants are calibrated against the interpreted fabric's
 //!   per-tick instruction counts such that a single-agent control tick
 //!   (Single / RoundRobin: ≈ 16 ms) holds the budget while the
@@ -48,7 +50,7 @@ pub const DEADLINE_NS: u64 = 25_000_000;
 /// camera pixels per frame (3 × 64 × 48) so that one agent step per
 /// tick totals ≈ 16 ms and two (FD duplicate) ≈ 26 ms.
 mod cost {
-    /// Per camera pixel rendered.
+    /// Per camera pixel of the configured suite.
     pub const PIXEL: u64 = 540;
     /// Per lidar ray cast.
     pub const RAY: u64 = 1_500;
@@ -159,13 +161,18 @@ impl ProfilingObserver {
     }
 
     /// The modeled per-phase costs of one tick: `[sense, driver, detect,
-    /// step]` in ns, a pure function of the tick's work. Public because
+    /// step]` in ns, a pure function of the tick's work. Sensing is
+    /// costed for the configured suite — three cameras plus LiDAR when
+    /// enabled — not for the cameras the loop's demand rendered: the
+    /// modeled platform captures every sensor regardless of which ones
+    /// this host-side simulation needed. Public because
     /// the flight recorder ([`crate::FlightRecorder`]) records modeled
     /// latencies unconditionally — even under `DIVERSEAV_PROFILE=wall` —
     /// so incident artifacts never carry wall-clock values.
     pub fn modeled_phases(ctx: &TickContext<'_>) -> [u64; 4] {
-        let pixels: usize = ctx.frame.cameras.iter().map(|c| c.width() * c.height()).sum();
-        let rays = ctx.frame.lidar.as_ref().map_or(0, |r| r.len());
+        let cfg = ctx.world.sensor_config();
+        let pixels = cfg.cam_yaws.len() * cfg.width * cfg.height;
+        let rays = if cfg.enable_lidar { cfg.lidar_rays } else { 0 };
         let TickWork { gpu_instr, cpu_instr, detector_observed, .. } = ctx.work;
         let sense = cost::SENSE_BASE + pixels as u64 * cost::PIXEL + rays as u64 * cost::RAY;
         let driver = cost::DRIVER_BASE + gpu_instr * cost::GPU_INSTR + cpu_instr * cost::CPU_INSTR;
@@ -236,17 +243,38 @@ mod tests {
     use super::*;
     use crate::simloop::SimLoop;
     use diverseav::{Ads, AdsConfig, AgentMode};
-    use diverseav_simworld::{lead_slowdown, SensorConfig};
+    use diverseav_simworld::{lead_slowdown, CameraSet, SensorConfig};
 
     fn run_profiled(mode: AgentMode, seed: u64) -> DeadlineStats {
+        run_profiled_with(mode, seed, CameraSet::NONE)
+    }
+
+    /// Widens the capture demand of a run.
+    struct Demand(CameraSet);
+    impl LoopObserver for Demand {
+        fn camera_demand(&self) -> CameraSet {
+            self.0
+        }
+    }
+
+    fn run_profiled_with(mode: AgentMode, seed: u64, demand: CameraSet) -> DeadlineStats {
         let mut scenario = lead_slowdown();
         scenario.duration = 1.0;
         let world = World::new(scenario, SensorConfig::default(), seed);
         let ads = Ads::new(AdsConfig::for_mode(mode, seed));
         let mut prof = ProfilingObserver::with_source("lead_slowdown", TimeSource::Modeled);
         let mut sim = SimLoop::new(world, ads);
-        sim.run_observed(&mut [&mut prof]);
+        sim.run_observed(&mut [&mut prof, &mut Demand(demand)]);
         prof.stats()
+    }
+
+    #[test]
+    fn modeled_cost_follows_the_configured_suite_not_the_capture_demand() {
+        for mode in [AgentMode::RoundRobin, AgentMode::Duplicate] {
+            let center_only = run_profiled(mode, 13);
+            let full_suite = run_profiled_with(mode, 13, CameraSet::ALL);
+            assert_eq!(center_only, full_suite, "{mode:?}");
+        }
     }
 
     #[test]

@@ -10,12 +10,17 @@
 //!
 //! The loop owns a reusable [`SensorFrame`] buffer and captures frames
 //! with [`World::sense_into`], so the steady-state tick performs no heap
-//! allocation (verified by the `zero_alloc` integration test).
+//! allocation (verified by the `zero_alloc` integration test). Capture is
+//! demand-driven: it renders only the cameras the driver
+//! ([`LoopDriver::camera_demand`]) and its observers
+//! ([`LoopObserver::camera_demand`]) read.
 
 use diverseav::{Ads, TickOutput, TickWork, VehState};
 use diverseav_agent::{AgentError, SensorimotorAgent};
 use diverseav_fabric::{Fabric, Profile, Trap};
-use diverseav_simworld::{Controls, RouteHint, SensorFrame, World, WorldStatus, TICK_HZ};
+use diverseav_simworld::{
+    CameraSet, Controls, RouteHint, SensorFrame, World, WorldStatus, TICK_HZ,
+};
 use std::time::Instant;
 
 /// The phases of one loop iteration, in execution order. Phase labels
@@ -108,6 +113,13 @@ pub trait LoopDriver {
     fn last_tick_work(&self) -> TickWork {
         TickWork::default()
     }
+
+    /// The cameras this driver reads from each frame. Defaults to the
+    /// full suite, which is always safe; drivers that read fewer say so
+    /// and the loop skips rendering the rest.
+    fn camera_demand(&self) -> CameraSet {
+        CameraSet::ALL
+    }
 }
 
 impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
@@ -125,6 +137,10 @@ impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
     fn last_tick_work(&self) -> TickWork {
         (**self).last_tick_work()
     }
+
+    fn camera_demand(&self) -> CameraSet {
+        (**self).camera_demand()
+    }
 }
 
 impl LoopDriver for Ads {
@@ -141,6 +157,11 @@ impl LoopDriver for Ads {
 
     fn last_tick_work(&self) -> TickWork {
         Ads::last_tick_work(self)
+    }
+
+    /// Every agent's vision planner reads the center camera only.
+    fn camera_demand(&self) -> CameraSet {
+        CameraSet::CENTER
     }
 }
 
@@ -228,6 +249,10 @@ impl LoopDriver for AgentDriver {
     fn last_tick_work(&self) -> TickWork {
         self.last_work
     }
+
+    fn camera_demand(&self) -> CameraSet {
+        CameraSet::CENTER
+    }
 }
 
 /// Everything an observer can see about one completed tick, before the
@@ -237,7 +262,8 @@ pub struct TickContext<'a> {
     pub t: f64,
     /// Vehicle state fed to the driver.
     pub state: VehState,
-    /// The sensor frame the driver consumed.
+    /// The sensor frame the driver consumed. Cameras outside the run's
+    /// demand (driver's plus observers') are 0×0.
     pub frame: &'a SensorFrame,
     /// The route hint fed to the driver.
     pub hint: RouteHint,
@@ -279,6 +305,14 @@ pub trait LoopObserver {
     /// duration — only when [`LoopObserver::wants_phase_timing`] returned
     /// true for *some* observer in the run.
     fn on_phase(&mut self, _phase: LoopPhase, _dur_ns: u64) {}
+
+    /// The cameras this observer reads from [`TickContext::frame`], on
+    /// top of the driver's demand. Defaults to none; an observer that
+    /// inspects a camera the driver does not read must widen the demand
+    /// here, or it sees a 0×0 image.
+    fn camera_demand(&self) -> CameraSet {
+        CameraSet::NONE
+    }
 }
 
 /// The canonical `sense → tick → step` loop: one [`World`], one
@@ -332,13 +366,15 @@ impl<D: LoopDriver> SimLoop<D> {
     ) -> Option<Termination> {
         let mut termination = None;
         let timing = observers.iter().any(|o| o.wants_phase_timing());
+        let demand =
+            observers.iter().fold(self.driver.camera_demand(), |d, o| d | o.camera_demand());
         for _ in 0..max_ticks {
             if self.world.finished() {
                 termination = Some(Termination::Completed);
                 break;
             }
             let t0 = timing.then(Instant::now);
-            self.world.sense_into(&mut self.frame);
+            self.world.sense_into(&mut self.frame, demand);
             if let Some(inj) = &mut self.injector {
                 // The one sanctioned sensor-fault mutation point: between
                 // capture and the driver (see crate::inject).
@@ -499,6 +535,34 @@ mod tests {
         sim.run_observed(&mut [&mut counting]);
         assert_eq!(counting.ticks, 40, "one on_tick per 40 Hz frame over 1 s");
         assert_eq!(counting.terminated, Some(Termination::Completed));
+    }
+
+    #[test]
+    fn capture_renders_the_union_of_driver_and_observer_demand() {
+        /// Records the camera widths of every frame it sees.
+        struct Widths(CameraSet, Vec<[usize; 3]>);
+        impl LoopObserver for Widths {
+            fn on_tick(&mut self, ctx: &TickContext<'_>) {
+                let c = &ctx.frame.cameras;
+                self.1.push([c[0].width(), c[1].width(), c[2].width()]);
+            }
+            fn camera_demand(&self) -> CameraSet {
+                self.0
+            }
+        }
+        let ads = || Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, 25));
+        for (observer_demand, expected) in
+            [(CameraSet::NONE, [0, 64, 0]), (CameraSet::ALL, [64, 64, 64])]
+        {
+            let mut widths = Widths(observer_demand, Vec::new());
+            SimLoop::new(short_world(25), ads()).run_observed(&mut [&mut widths]);
+            assert_eq!(widths.1.len(), 40);
+            assert!(widths.1.iter().all(|w| *w == expected), "{observer_demand:?}: {:?}", widths.1);
+        }
+        let mut widths = Widths(CameraSet::NONE, Vec::new());
+        SimLoop::new(short_world(25), PolicyDriver(|_: &World| Controls::default()))
+            .run_observed(&mut [&mut widths]);
+        assert!(widths.1.iter().all(|w| *w == [64; 3]), "policy drivers get the full suite");
     }
 
     #[test]

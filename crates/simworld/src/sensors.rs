@@ -170,6 +170,37 @@ impl SensorFrame {
     }
 }
 
+/// Which of the three cameras (`[left, center, right]`) a capture
+/// renders: bit `c` demands camera `c`.
+///
+/// [`World::sense_into`](crate::World::sense_into) renders the demanded
+/// cameras and leaves the others as 0×0 images, so a consumer that reads
+/// only the center camera does not pay for the side rasters.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct CameraSet(u8);
+
+impl CameraSet {
+    /// No camera.
+    pub const NONE: CameraSet = CameraSet(0);
+    /// The center camera only — what the driving agent reads.
+    pub const CENTER: CameraSet = CameraSet(0b010);
+    /// The full three-camera suite.
+    pub const ALL: CameraSet = CameraSet(0b111);
+
+    /// Whether camera `cam` (`0..3`) is demanded.
+    pub fn contains(self, cam: usize) -> bool {
+        (self.0 >> cam) & 1 == 1
+    }
+}
+
+impl std::ops::BitOr for CameraSet {
+    type Output = CameraSet;
+
+    fn bitor(self, rhs: CameraSet) -> CameraSet {
+        CameraSet(self.0 | rhs.0)
+    }
+}
+
 /// Sensor-suite configuration.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SensorConfig {

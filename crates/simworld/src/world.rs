@@ -6,7 +6,8 @@ use crate::geometry::Vec2;
 use crate::npc::{next_stopping_light, GapAhead, Npc, NpcBehavior};
 use crate::scenario::Scenario;
 use crate::sensors::{
-    lidar_scan_into, render_camera_into, Image, ImuReading, RenderScene, SensorConfig, SensorFrame,
+    lidar_scan_into, render_camera_into, CameraSet, Image, ImuReading, RenderScene, SensorConfig,
+    SensorFrame,
 };
 use crate::vehicle::{Controls, Vehicle, VehicleState};
 use rand::rngs::StdRng;
@@ -204,23 +205,28 @@ impl World {
         }
     }
 
-    /// Capture the sensor bundle for the current instant.
+    /// Capture the full sensor bundle for the current instant.
     ///
     /// Draws fresh per-frame noise from the run RNG, so consecutive frames
     /// are bit-diverse even for a stationary scene.
     pub fn sense(&mut self) -> SensorFrame {
         let mut frame = SensorFrame::empty();
-        self.sense_into(&mut frame);
+        self.sense_into(&mut frame, CameraSet::ALL);
         frame
     }
 
-    /// [`World::sense`] into a caller-owned frame, reusing its buffers.
+    /// Capture into a caller-owned frame, reusing its buffers, rendering
+    /// only the cameras in `demand`.
     ///
-    /// Draws the same RNG sequence and produces a bit-identical frame;
-    /// after the first capture the steady state performs no heap
-    /// allocation, which is what the `SimLoop` frame-buffer pool relies
-    /// on for the campaign hot path.
-    pub fn sense_into(&mut self, frame: &mut SensorFrame) {
+    /// `frame.cameras` always holds three images so camera indices keep
+    /// their meaning; undemanded ones are reset to 0×0 (keeping their
+    /// capacity). The RNG draws do not depend on `demand` — per-camera
+    /// noise is hashed from the one per-frame seed — so every demanded
+    /// camera, GPS, IMU, speed, LiDAR and the following frames are
+    /// bit-identical to [`World::sense`]. After the first capture the
+    /// steady state performs no heap allocation, which is what the
+    /// `SimLoop` frame-buffer pool relies on for the campaign hot path.
+    pub fn sense_into(&mut self, frame: &mut SensorFrame, demand: CameraSet) {
         let frame_seed: u64 = self.rng.gen();
         let scene = RenderScene {
             track: &self.scenario.track,
@@ -231,7 +237,11 @@ impl World {
         };
         frame.cameras.resize_with(3, || Image::new(0, 0));
         for (c, img) in frame.cameras.iter_mut().enumerate() {
-            render_camera_into(&self.sensor_cfg, &scene, c, img);
+            if demand.contains(c) {
+                render_camera_into(&self.sensor_cfg, &scene, c, img);
+            } else {
+                img.reset(0, 0);
+            }
         }
         if self.sensor_cfg.enable_lidar {
             lidar_scan_into(&self.sensor_cfg, &scene, frame.lidar.get_or_insert_with(Vec::new));

@@ -4,9 +4,11 @@
 
 use diverseav::{Ads, AdsConfig, AgentMode};
 use diverseav_fabric::{FaultModel, Op, Profile, ALL_OPS};
-use diverseav_faultinj::{run_experiment, FaultSpec, RunConfig};
+use diverseav_faultinj::{
+    run_experiment, run_experiment_observed, FaultSpec, RunConfig, SensorFault, SensorFaultKind,
+};
 use diverseav_runtime::{LoopObserver, SimLoop, TickContext};
-use diverseav_simworld::{lead_slowdown, Controls, Scenario, SensorConfig, World};
+use diverseav_simworld::{lead_slowdown, CameraSet, Controls, Scenario, SensorConfig, World};
 use proptest::prelude::*;
 
 fn short_scenario() -> Scenario {
@@ -107,5 +109,45 @@ fn duplicate_mode_unit1_fault_leaves_vehicle_control_clean() {
     let faulty = run_experiment(&clean_rc);
     if !faulty.termination.is_hang_or_crash() {
         assert_eq!(clean.trajectory, faulty.trajectory, "unit-1 faults must not steer the car");
+    }
+}
+
+#[test]
+fn widening_the_camera_demand_does_not_change_the_run() {
+    // The ADS reads only the center camera, so the loop renders only
+    // that one; an observer asking for every camera must see the full
+    // suite without changing anything the run records — including the
+    // modeled deadline tallies and flight records, which cost the
+    // configured suite rather than the rendered pixels.
+    struct AllCameras(usize);
+    impl LoopObserver for AllCameras {
+        fn on_tick(&mut self, ctx: &TickContext<'_>) {
+            assert!(ctx.frame.cameras.iter().all(|c| c.width() > 0));
+            self.0 += 1;
+        }
+        fn camera_demand(&self) -> CameraSet {
+            CameraSet::ALL
+        }
+    }
+    let faults = [
+        None,
+        Some(FaultSpec::Sensor(SensorFault { kind: SensorFaultKind::NoiseInflation, seed: 3 })),
+        Some(FaultSpec::Sensor(SensorFault { kind: SensorFaultKind::OutlierBurst, seed: 4 })),
+        Some(FaultSpec::Fabric {
+            unit: 0,
+            profile: Profile::Gpu,
+            model: FaultModel::Permanent { op: Op::FMul, mask: 1 << 22 },
+        }),
+    ];
+    for mode in [AgentMode::RoundRobin, AgentMode::Duplicate] {
+        for fault in faults {
+            let mut rc = RunConfig::new(short_scenario(), mode, 17);
+            rc.fault = fault;
+            let plain = run_experiment(&rc);
+            let mut all = AllCameras(0);
+            let widened = run_experiment_observed(&rc, &mut [&mut all]);
+            assert!(all.0 > 0);
+            assert_eq!(plain, widened, "{mode:?} {fault:?}");
+        }
     }
 }

@@ -8,7 +8,11 @@
 //! The whole binary runs under a counting wrapper around the system
 //! allocator; an observer samples the counter each tick and the test
 //! asserts the per-tick delta hits zero once buffers have grown to their
-//! steady-state sizes.
+//! steady-state sizes. The counter is per thread: the tests of this
+//! binary and the harness's own output run concurrently, and only the
+//! allocations of the thread driving the loop belong to the measurement.
+//! Both capture paths are covered: the ADS (center camera only) and a
+//! policy driver (every camera plus LiDAR).
 //!
 //! The flight recorder rides along on every observed run (the runner
 //! attaches it as a stock observer), so the end-to-end test gates its
@@ -19,24 +23,40 @@
 use diverseav::AgentMode;
 use diverseav_faultinj::{run_experiment_observed, RunConfig};
 use diverseav_obs::flight::{FlightRing, TickRecord, DEFAULT_RING_CAPACITY};
-use diverseav_runtime::{LoopObserver, TickContext};
-use diverseav_simworld::lead_slowdown;
+use diverseav_runtime::{LoopObserver, PolicyDriver, SimLoop, TickContext};
+use diverseav_simworld::{lead_slowdown, Controls, SensorConfig, World};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper that counts every allocation.
+/// System allocator wrapper that counts every allocation of the calling
+/// thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialized and without a
+    /// destructor, so reading it from inside the allocator never
+    /// allocates or re-enters.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` instead of `with`: never panic inside the allocator.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -48,27 +68,47 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Records the allocation-counter delta of every tick. The sample vector
-/// is preallocated so the observer itself never allocates on the hot path.
+/// Records the allocation-counter delta of every tick, and how many
+/// cameras each frame carried. The sample vector is preallocated so the
+/// observer itself never allocates on the hot path.
 struct AllocSampler {
     last: u64,
     per_tick: Vec<u64>,
+    cameras_rendered: Vec<usize>,
 }
 
 impl AllocSampler {
     fn new(capacity: usize) -> Self {
         AllocSampler {
-            last: ALLOCS.load(Ordering::Relaxed),
+            last: allocs(),
             per_tick: Vec::with_capacity(capacity),
+            cameras_rendered: Vec::with_capacity(capacity),
         }
+    }
+
+    /// Assert the run's steady state never touched the heap.
+    fn assert_steady_state_is_allocation_free(&self) {
+        // Warm-up: the trajectory vector, fabric contexts, and lidar/camera
+        // buffers reach steady-state size within the first ticks.
+        const WARMUP: usize = 16;
+        assert!(self.per_tick.len() > WARMUP + 16, "run long enough to observe steady state");
+        let warmup_total: u64 = self.per_tick[..WARMUP].iter().sum();
+        assert!(warmup_total > 0, "counter sanity: warm-up ticks must allocate (buffer growth)");
+        let steady = &self.per_tick[WARMUP..];
+        let total: u64 = steady.iter().sum();
+        assert_eq!(
+            total, 0,
+            "heap allocations after warm-up (per-tick deltas from tick {WARMUP}): {steady:?}"
+        );
     }
 }
 
 impl LoopObserver for AllocSampler {
-    fn on_tick(&mut self, _ctx: &TickContext<'_>) {
-        let now = ALLOCS.load(Ordering::Relaxed);
+    fn on_tick(&mut self, ctx: &TickContext<'_>) {
+        let now = allocs();
         if self.per_tick.len() < self.per_tick.capacity() {
             self.per_tick.push(now - self.last);
+            self.cameras_rendered.push(ctx.frame.cameras.iter().filter(|c| c.width() > 0).count());
         }
         self.last = now;
     }
@@ -84,19 +124,23 @@ fn steady_state_ticks_are_allocation_free() {
     let mut sampler = AllocSampler::new(128);
     let result = run_experiment_observed(&cfg, &mut [&mut sampler]);
     assert!(!result.termination.is_hang_or_crash(), "clean run expected: {:?}", result.termination);
+    assert!(sampler.cameras_rendered.iter().all(|&n| n == 1), "the ADS demands the center only");
+    sampler.assert_steady_state_is_allocation_free();
+}
 
-    // Warm-up: the trajectory vector, fabric contexts, and lidar/camera
-    // buffers reach steady-state size within the first ticks.
-    const WARMUP: usize = 16;
-    assert!(sampler.per_tick.len() > WARMUP + 16, "run long enough to observe steady state");
-    let warmup_total: u64 = sampler.per_tick[..WARMUP].iter().sum();
-    assert!(warmup_total > 0, "counter sanity: warm-up ticks must allocate (buffer growth)");
-    let steady = &sampler.per_tick[WARMUP..];
-    let total: u64 = steady.iter().sum();
-    assert_eq!(
-        total, 0,
-        "heap allocations after warm-up (per-tick deltas from tick {WARMUP}): {steady:?}"
-    );
+/// The full-suite capture path: a policy driver demands every camera,
+/// with LiDAR on.
+#[test]
+fn full_suite_capture_ticks_are_allocation_free() {
+    let mut scenario = lead_slowdown();
+    scenario.duration = 2.0;
+    let sensors = SensorConfig { enable_lidar: true, ..Default::default() };
+    let world = World::new(scenario, sensors, 12);
+    let mut sim = SimLoop::new(world, PolicyDriver(|_: &World| Controls::clamped(0.3, 0.0, 0.0)));
+    let mut sampler = AllocSampler::new(128);
+    sim.run_observed(&mut [&mut sampler]);
+    assert!(sampler.cameras_rendered.iter().all(|&n| n == 3), "policy drivers get every camera");
+    sampler.assert_steady_state_is_allocation_free();
 }
 
 /// `FlightRing::push` must never allocate — not while filling, and not
@@ -117,11 +161,11 @@ fn flight_ring_push_is_allocation_free_across_wraparound() {
         d_brake: 0.0,
         d_steer: -0.02,
     };
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for t in 0..4 * DEFAULT_RING_CAPACITY as u64 {
         ring.push(TickRecord { tick: t, ..template });
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "flight-ring pushes allocated {} time(s)", after - before);
     assert_eq!(ring.len(), DEFAULT_RING_CAPACITY);
     assert_eq!(ring.pushed(), 4 * DEFAULT_RING_CAPACITY as u64);
