@@ -24,6 +24,11 @@
 #         summaries feed seeds and Horvitz-Thompson weights; one
 #         randomized-iteration-order map would silently break the
 #         bit-identical guided merge. BTreeMap/BTreeSet only.
+# Gate 6: outside #[cfg(test)], `run_experiment(` is called in
+#         crates/faultinj/src only by the campaign executor (executor.rs)
+#         and by collect_training_runs. Every campaign flavour runs its
+#         units through the executor's one RunUnit -> RunConfig law; a
+#         second call site would be a second, drifting copy of it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,7 +117,26 @@ if [[ -n "$guided_hits" ]]; then
     fail=1
 fi
 
+# --- Gate 6: run_experiment( only in the campaign executor ---------------
+# Same first-#[cfg(test)] cutoff as Gate 1; collect_training_runs (the
+# detector-training drives, not campaign units) is skipped to its
+# closing brace, and the function's own definition is not a call.
+run_hits=$(awk '
+    FNR == 1 { in_tests = 0; in_training = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^pub fn collect_training_runs\(/ { in_training = 1 }
+    in_training && /^}/ { in_training = 0; next }
+    !in_tests && !in_training && /run_experiment\(/ && !/fn run_experiment\(/ &&
+        FILENAME != "crates/faultinj/src/executor.rs" { print FILENAME ":" FNR ": " $0 }
+' crates/faultinj/src/*.rs)
+if [[ -n "$run_hits" ]]; then
+    echo "lint: run_experiment( outside the campaign executor (run campaign" >&2
+    echo "units through executor::Executor instead):" >&2
+    echo "$run_hits" >&2
+    fail=1
+fi
+
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner)"
+echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no run_experiment( outside the executor)"

@@ -2,9 +2,11 @@
 //! generation, injection runs, and Table-I summarization.
 
 use crate::cache::{GoldenCache, GoldenKey, GoldenSet};
-use crate::exec::{par_map, par_map_indices};
-use crate::outcome::{classify, mean_trajectory, OutcomeClass};
-use crate::plan::{generate_plan, FaultModelKind, PlanConfig};
+use crate::exec::par_map;
+use crate::executor::{campaign_units, Executor};
+use crate::guided::WeightedRow;
+use crate::outcome::{tally, RunParts};
+use crate::plan::FaultModelKind;
 use crate::runner::{run_experiment, run_record, RunConfig, RunResult};
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, TrainSample};
 use diverseav_fabric::Profile;
@@ -13,8 +15,8 @@ use diverseav_simworld::{long_route, Scenario, ScenarioKind, SensorConfig, TrajP
 use std::fmt;
 use std::time::Instant;
 
-/// Seed of golden run `i`: `GOLDEN_SEED_BASE + i`. Shared with the shard
-/// executor so sharded and monolithic runs are the same pure functions.
+/// Seed of golden run `i`: `GOLDEN_SEED_BASE + i`, the campaign executor's
+/// seed law for every campaign flavour (monolithic, guided, sharded).
 pub const GOLDEN_SEED_BASE: u64 = 1_000;
 
 /// Seed of injected run `i`: `INJECTED_SEED_BASE + i`.
@@ -158,10 +160,10 @@ pub fn run_campaign_with_traces(
 ///
 /// The four campaigns of a (scenario, mode) Table-I cell — {GPU, CPU} ×
 /// {transient, permanent} — request identical golden sets; the cache
-/// computes each distinct set once. Runs fan out on the deterministic
-/// [`par_map`](crate::exec::par_map) engine: every run is seeded
-/// explicitly (golden `1000 + i`, injected `2000 + i`), so results are
-/// bit-identical to sequential execution for any `DIVERSEAV_THREADS`.
+/// computes each distinct set once. Runs go through the campaign
+/// executor ([`crate::executor`]): golden set in parallel, plan from
+/// golden run 0, injected runs in parallel, bit-identical for any
+/// `DIVERSEAV_THREADS`.
 ///
 /// Detector-attached golden runs carry per-campaign alarm annotations
 /// and therefore always bypass the cache.
@@ -173,38 +175,25 @@ pub fn run_campaign_cached(
     collect_traces: bool,
     cache: Option<&GoldenCache>,
 ) -> CampaignResult {
-    let scenario = scenario_for(campaign.scenario, scale);
+    // Detector runs are annotated per campaign — never share them.
+    let cache = cache.filter(|_| detector.is_none());
+    let mut exec = Executor::new(campaign, scale, sensor, detector, collect_traces);
 
     // Golden runs (also the NVBitFI-style profiling pass).
-    let run_golden_set = || {
-        let golden = par_map_indices(scale.golden_runs.max(1), |i| {
-            let mut cfg =
-                RunConfig::new(scenario.clone(), campaign.mode, GOLDEN_SEED_BASE + i as u64);
-            cfg.sensor = sensor;
-            cfg.detector = detector.clone();
-            cfg.collect_training = collect_traces;
-            run_experiment(&cfg)
-        });
-        let trajectories: Vec<&[TrajPoint]> =
-            golden.iter().map(|g| g.trajectory.as_slice()).collect();
-        let baseline = mean_trajectory(&trajectories);
-        GoldenSet { golden, baseline }
-    };
     let phase_start = Instant::now();
-    let golden_set = match (&detector, cache) {
-        // Detector runs are annotated per campaign — never share them.
-        (None, Some(cache)) => {
+    let golden_set = match cache {
+        Some(cache) => {
             let key = GoldenKey::new(
                 campaign.scenario,
-                scenario.duration,
+                exec.scenario.duration,
                 campaign.mode,
                 &sensor,
                 scale.golden_runs.max(1),
                 collect_traces,
             );
-            (*cache.get_or_compute(key, run_golden_set)).clone()
+            (*cache.get_or_compute(key, || exec.golden_set())).clone()
         }
-        _ => run_golden_set(),
+        None => exec.golden_set(),
     };
     let GoldenSet { golden, baseline } = golden_set;
     metrics::phase_add("campaign.golden", phase_start.elapsed().as_secs_f64());
@@ -212,28 +201,11 @@ pub fn run_campaign_cached(
 
     // Injection plan from the first golden run's profile.
     let phase_start = Instant::now();
-    let plan = generate_plan(
-        &golden[0],
-        &PlanConfig {
-            kind: campaign.kind,
-            target: campaign.target,
-            n_transient: scale.n_transient,
-            repeats: scale.permanent_repeats,
-            seed: plan_seed(&campaign),
-        },
-    );
+    exec.set_plan(&golden[0], None).expect("uniform plans always build");
     metrics::phase_add("campaign.plan", phase_start.elapsed().as_secs_f64());
 
     let phase_start = Instant::now();
-    let injected: Vec<RunResult> = par_map_indices(plan.len(), |i| {
-        let mut cfg =
-            RunConfig::new(scenario.clone(), campaign.mode, INJECTED_SEED_BASE + i as u64);
-        cfg.sensor = sensor;
-        cfg.fault = Some(plan[i]);
-        cfg.detector = detector.clone();
-        cfg.collect_training = collect_traces;
-        run_experiment(&cfg)
-    });
+    let injected = exec.run_plan();
     metrics::phase_add("campaign.injected", phase_start.elapsed().as_secs_f64());
     metrics::counter_add("campaign.injected_runs", injected.len() as u64);
     metrics::counter_add("campaign.cells", 1);
@@ -247,11 +219,9 @@ pub fn run_campaign_cached(
     // any thread count.
     if trace::enabled() {
         let label = campaign.to_string();
-        for (i, r) in golden.iter().enumerate() {
-            journal::append_record(&run_record(&label, "golden", i, r));
-        }
-        for (i, r) in injected.iter().enumerate() {
-            journal::append_record(&run_record(&label, "injected", i, r));
+        let units = campaign_units(golden.len(), injected.len());
+        for (u, r) in units.into_iter().zip(golden.iter().chain(&injected)) {
+            journal::append_record(&run_record(&label, u.kind(), u.index(), r));
         }
     }
 
@@ -320,32 +290,30 @@ pub fn scenario_for(kind: ScenarioKind, scale: &CampaignScale) -> Scenario {
 /// accidents, trajectory violations, benign runs, and `outcome.sdc`
 /// (silent safety-critical corruptions = accidents + violations).
 pub fn summarize(result: &CampaignResult, td: f64) -> TableRow {
-    let mut row = TableRow { total: result.injected.len(), ..Default::default() };
-    let mut benign = 0u64;
-    let mut hangs = 0u64;
-    for r in &result.injected {
-        if r.fault_activated {
-            row.active += 1;
-        }
-        match classify(r, &result.baseline, td) {
-            OutcomeClass::HangCrash => {
-                row.hang_crash += 1;
-                if r.termination.is_hang() {
-                    hangs += 1;
-                }
-            }
-            OutcomeClass::Accident => row.accidents += 1,
-            OutcomeClass::TrajViolation => row.traj_violations += 1,
-            OutcomeClass::Benign => benign += 1,
-        }
-    }
-    metrics::counter_add("outcome.hang", hangs);
-    metrics::counter_add("outcome.crash", row.hang_crash as u64 - hangs);
+    let t = tally(result.injected.iter().map(RunParts::from), &result.baseline, td, false);
+    let row = TableRow::from(t);
+    let hangs = result.injected.iter().filter(|r| r.termination.is_hang()).count();
+    let benign = row.total - row.hang_crash - row.accidents - row.traj_violations;
+    metrics::counter_add("outcome.hang", hangs as u64);
+    metrics::counter_add("outcome.crash", (row.hang_crash - hangs) as u64);
     metrics::counter_add("outcome.accident", row.accidents as u64);
     metrics::counter_add("outcome.traj_violation", row.traj_violations as u64);
-    metrics::counter_add("outcome.benign", benign);
+    metrics::counter_add("outcome.benign", benign as u64);
     metrics::counter_add("outcome.sdc", (row.accidents + row.traj_violations) as u64);
     row
+}
+
+/// An unweighted tally (every weight 1) as a Table-I row.
+impl From<WeightedRow> for TableRow {
+    fn from(t: WeightedRow) -> Self {
+        TableRow {
+            active: t.active as usize,
+            hang_crash: t.hang_crash as usize,
+            total: t.runs,
+            accidents: t.accidents as usize,
+            traj_violations: t.traj_violations as usize,
+        }
+    }
 }
 
 /// Collect detector training data: fault-free executions of the long
@@ -373,6 +341,8 @@ pub fn collect_training_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::mean_trajectory;
+    use crate::plan::{generate_plan, PlanConfig};
 
     fn tiny_scale() -> CampaignScale {
         CampaignScale {

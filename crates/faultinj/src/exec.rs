@@ -71,23 +71,22 @@ where
     metrics::counter_add("exec.fan_outs", 1);
     metrics::counter_add("exec.items", n as u64);
     let journal = trace::enabled().then(|| SlotJournal::with_slots(n));
+    // Item `i` on `worker`, bracketed by its journal span when tracing.
+    let run = |i: usize, worker: usize| {
+        let writer = journal.as_ref().map(|j| {
+            let w = j.writer(i);
+            w.span_begin("exec.item");
+            w.counter("worker", worker as u64);
+            w
+        });
+        let result = f(&items[i]);
+        if let Some(w) = writer {
+            w.span_end("exec.item");
+        }
+        result
+    };
     if threads == 1 {
-        let out = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                if let Some(j) = &journal {
-                    let w = j.writer(i);
-                    w.span_begin("exec.item");
-                    w.counter("worker", 0);
-                    let r = f(item);
-                    w.span_end("exec.item");
-                    r
-                } else {
-                    f(item)
-                }
-            })
-            .collect();
+        let out = (0..n).map(|i| run(i, 0)).collect();
         drain_journal(journal);
         return out;
     }
@@ -97,24 +96,14 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let (next, slots, f, journal) = (&next, &slots, &f, journal.as_ref());
+        let (next, slots, run) = (&next, &slots, &run);
         for worker in 0..threads {
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let writer = journal.map(|j| {
-                    let w = j.writer(i);
-                    w.span_begin("exec.item");
-                    w.counter("worker", worker as u64);
-                    w
-                });
-                let result = f(&items[i]);
-                if let Some(w) = writer {
-                    w.span_end("exec.item");
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                *slots[i].lock().expect("result slot poisoned") = Some(run(i, worker));
             });
         }
     });

@@ -30,16 +30,15 @@
 //! are therefore bit-identical for any `DIVERSEAV_THREADS` and any
 //! shard/kill/resume mix, exactly like uniform ones.
 
-use crate::campaign::plan_seed;
-use crate::campaign::{
-    scenario_for, splitmix64, Campaign, CampaignScale, GOLDEN_SEED_BASE, INJECTED_SEED_BASE,
-};
-use crate::exec::par_map_indices;
-use crate::outcome::{classify, mean_trajectory, OutcomeClass};
+use crate::cache::GoldenSet;
+use crate::campaign::{plan_seed, splitmix64, Campaign, CampaignScale};
+use crate::executor::Executor;
+use crate::outcome::{tally, RunParts};
 use crate::plan::{op_class, stratum_seed, FaultModelKind, OP_CLASS_LABELS};
-use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
+use crate::runner::{FaultSpec, RunResult};
+use crate::shard::GuidedShardSpec;
 use diverseav_fabric::{FaultModel, Op, Profile};
-use diverseav_obs::json::{self, Value};
+use diverseav_obs::json;
 use diverseav_runtime::{SensorFault, SensorFaultKind};
 use diverseav_simworld::{SensorConfig, TrajPoint};
 use rand::rngs::StdRng;
@@ -181,30 +180,17 @@ impl EpochSummary {
     /// digest so a hand-edited prior cannot silently steer allocation.
     pub fn parse(text: &str) -> Result<EpochSummary, String> {
         let v = json::parse(text.trim()).map_err(|e| format!("epoch summary: {e}"))?;
-        let ty = v.get("type").and_then(Value::as_str).unwrap_or("");
-        if ty != "guided_epoch_summary" {
-            return Err(format!("not a guided epoch summary (type {ty:?})"));
-        }
-        let epochs_done =
-            v.get("epochs_done")
-                .and_then(Value::as_f64)
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or("epochs_done must be a non-negative integer")? as usize;
-        let digest = {
-            let s = v.get("digest").and_then(Value::as_str).ok_or("missing digest")?;
-            u64::from_str_radix(s, 16).map_err(|e| format!("bad digest: {e}"))?
-        };
-        let arr = v.get("tallies").and_then(Value::as_arr).ok_or("tallies must be an array")?;
+        json::expect_type(&v, "guided_epoch_summary")?;
+        let epochs_done = json::req(&v, "epochs_done", json::uint)?;
+        let digest = json::req(&v, "digest", json::hex64)?;
+        let arr = json::req(&v, "tallies", json::array)?;
         let mut tallies = Vec::with_capacity(arr.len());
         for t in arr {
-            let code = {
-                let s = t.get("stratum").and_then(Value::as_str).ok_or("missing stratum")?;
-                u64::from_str_radix(s, 16).map_err(|e| format!("bad stratum code: {e}"))?
-            };
-            let num = |key: &str| -> Result<u64, String> {
-                json::parse_u64_str(t.get(key).ok_or_else(|| format!("missing {key}"))?)
-            };
-            tallies.push(StratumTally { code, runs: num("runs")?, critical: num("critical")? });
+            tallies.push(StratumTally {
+                code: json::req(t, "stratum", json::hex64)?,
+                runs: json::req(t, "runs", json::parse_u64_str)?,
+                critical: json::req(t, "critical", json::parse_u64_str)?,
+            });
         }
         let out = EpochSummary { epochs_done, tallies };
         if out.digest() != digest {
@@ -406,15 +392,15 @@ impl GuidedPlanner {
                     class_ops[op_class(*op)].push(*op);
                 }
                 let inhabited = class_ops.iter().filter(|c| !c.is_empty()).count();
+                // The population is every used op x repeats: the budget.
+                let total = budget as u64;
                 if inhabited > cap {
                     // Too small to stratify by class: one stratum holds all.
                     let code = 0x72FF;
-                    let total = ops.len() as u64 * repeats as u64;
                     let strata =
                         vec![Stratum { code, label: stratum_label(code), num: total, den: total }];
                     (strata, Geometry::Permanent { class_ops: vec![ops], repeats })
                 } else {
-                    let total = ops.len() as u64 * repeats as u64;
                     let strata = class_ops
                         .iter()
                         .enumerate()
@@ -760,60 +746,34 @@ pub struct GuidedCampaignResult {
 
 /// Run a guided campaign monolithically (the library counterpart of the
 /// `diverseav-shard --guided` / `diverseav-merge --weighted` CLI loop):
-/// golden runs, then per epoch a plan / execute / tally cycle. Seeds
-/// follow the uniform engine law exactly (golden `1000 + i`, injected
-/// `2000 + global index`), so a sharded guided campaign merges to
-/// bit-identical results.
+/// the campaign executor's golden runs, then per epoch a plan / execute
+/// / tally cycle. Seeds follow the uniform engine law exactly (golden
+/// `1000 + i`, injected `2000 + global index`), so a sharded guided
+/// campaign merges to bit-identical results.
 pub fn run_guided_campaign(
     campaign: Campaign,
     scale: &CampaignScale,
     sensor: SensorConfig,
     cfg: GuidedConfig,
 ) -> Result<GuidedCampaignResult, String> {
-    let scenario = scenario_for(campaign.scenario, scale);
-    let golden: Vec<RunResult> = par_map_indices(scale.golden_runs.max(1), |i| {
-        let mut rc = RunConfig::new(scenario.clone(), campaign.mode, GOLDEN_SEED_BASE + i as u64);
-        rc.sensor = sensor;
-        run_experiment(&rc)
-    });
-    let trajectories: Vec<&[TrajPoint]> = golden.iter().map(|g| g.trajectory.as_slice()).collect();
-    let baseline = mean_trajectory(&trajectories);
-
-    let planner = GuidedPlanner::new(&golden[0], &campaign, scale, cfg)?;
-    let epoch_runs = planner.epoch_budgets();
-    let mut injected: Vec<RunResult> = Vec::with_capacity(planner.budget);
-    let mut summaries: Vec<EpochSummary> = Vec::new();
-    let mut counts: BTreeMap<u64, (u64, u64)> =
-        planner.strata.iter().map(|s| (s.code, (0, 0))).collect();
-    for epoch in 0..planner.epochs {
-        let prior = if epoch == 0 { None } else { summaries.last() };
-        let plan = planner.epoch_plan(epoch, prior)?;
-        let start = planner.epoch_start(epoch);
-        let runs: Vec<RunResult> = par_map_indices(plan.len(), |j| {
-            let mut rc = RunConfig::new(
-                scenario.clone(),
-                campaign.mode,
-                INJECTED_SEED_BASE + (start + j) as u64,
-            );
-            rc.sensor = sensor;
-            rc.fault = Some(plan[j].spec);
-            rc.stratum = Some(plan[j].stratum);
-            rc.weight = Some(plan[j].weight);
-            run_experiment(&rc)
-        });
-        for r in &runs {
-            let code = r.stratum.expect("guided runs carry their stratum");
-            let slot = counts.get_mut(&code).expect("stratum code from this planner");
-            slot.0 += 1;
-            slot.1 += u64::from(is_safety_critical(r.incident.map(|k| k.label())));
-        }
-        summaries.push(EpochSummary::from_counts(epoch + 1, &counts));
+    let mut exec = Executor::new(campaign, scale, sensor, None, false);
+    let GoldenSet { golden, baseline } = exec.golden_set();
+    let epochs = cfg.epochs.max(1);
+    let (mut injected, mut epoch_runs, mut summaries) = (Vec::new(), Vec::new(), Vec::new());
+    for epoch in 0..epochs {
+        let spec = GuidedShardSpec { epochs, epoch, prior: summaries.last().cloned() };
+        exec.set_plan(&golden[0], Some(&spec))?;
+        let runs = exec.run_plan();
+        epoch_runs.push(runs.len());
         injected.extend(runs);
+        let counts = stratum_tallies(injected.iter().map(RunParts::from));
+        summaries.push(EpochSummary::from_counts(epoch + 1, &counts));
     }
+    let budget = exec.plan_total;
     Ok(GuidedCampaignResult {
         campaign,
-        epochs: planner.epochs,
-        budget: planner.budget,
+        epochs,
+        budget,
         epoch_runs,
         golden,
         injected,
@@ -822,33 +782,28 @@ pub fn run_guided_campaign(
     })
 }
 
+/// Cumulative per-stratum (runs, safety-critical) tallies of guided
+/// injected runs — the prior the next epoch's allocation consumes,
+/// computed the same way live and from merged artifacts. Every run must
+/// carry its stratum.
+pub(crate) fn stratum_tallies<'a>(
+    runs: impl IntoIterator<Item = RunParts<'a>>,
+) -> BTreeMap<u64, (u64, u64)> {
+    let mut counts: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for r in runs {
+        let slot = counts.entry(r.stratum.expect("guided runs carry their stratum")).or_default();
+        slot.0 += 1;
+        slot.1 += u64::from(is_safety_critical(r.incident));
+    }
+    counts
+}
+
 /// Weighted Table-I row of a monolithic guided campaign: every injected
 /// run contributes `weight · 1[class]`, summed in global index order
 /// (the same order the shard merge uses, so the sums are bit-identical).
 pub fn summarize_guided(res: &GuidedCampaignResult, td: f64) -> WeightedRow {
-    let mut row = WeightedRow {
-        budget: res.budget,
-        runs: res.injected.len(),
-        active: 0.0,
-        hang_crash: 0.0,
-        accidents: 0.0,
-        traj_violations: 0.0,
-        ess: 0.0,
-    };
-    for r in &res.injected {
-        let w = r.weight.expect("guided runs carry their weight");
-        if r.fault_activated {
-            row.active += w;
-        }
-        match classify(r, &res.baseline, td) {
-            OutcomeClass::HangCrash => row.hang_crash += w,
-            OutcomeClass::Accident => row.accidents += w,
-            OutcomeClass::TrajViolation => row.traj_violations += w,
-            OutcomeClass::Benign => {}
-        }
-    }
-    row.ess = ess(res.injected.iter().map(|r| r.weight.unwrap_or(0.0)));
-    row
+    let row = tally(res.injected.iter().map(RunParts::from), &res.baseline, td, true);
+    WeightedRow { budget: res.budget, ..row }
 }
 
 #[cfg(test)]

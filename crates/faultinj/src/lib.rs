@@ -36,6 +36,7 @@
 pub mod cache;
 pub mod campaign;
 pub mod exec;
+mod executor;
 pub mod export;
 pub mod guided;
 pub mod outcome;
@@ -50,6 +51,7 @@ pub use campaign::{
     INJECTED_SEED_BASE,
 };
 pub use exec::{detected_parallelism, par_map, par_map_indices, par_map_with, thread_count};
+pub use executor::{campaign_units, RunUnit};
 pub use export::{
     write_actuation_csv, write_divergence_csv, write_summary_csv, write_trajectory_csv,
 };
@@ -74,11 +76,10 @@ pub use runner::{
     Termination,
 };
 pub use shard::{
-    campaign_fingerprint, campaign_units, collect_incidents, execute_shard, execute_shard_limited,
+    campaign_fingerprint, collect_incidents, execute_shard, execute_shard_limited,
     guided_epoch_summary, guided_fingerprint, incident_sidecar_path, merge_artifacts,
-    parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, training_units,
-    unit_shard, BatchMark, GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentManifest,
-    IncidentRecord, MergedCampaign, MergedGuided, MetricsSlice, RunUnit, ShardArtifact,
-    ShardConfig, ShardError, ShardManifest, ShardPerf, ShardRun, ShardSpec, ShardStatus,
-    SHARD_SCHEMA_VERSION,
+    parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, unit_shard,
+    BatchMark, GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentManifest, IncidentRecord,
+    MergedCampaign, MergedGuided, MetricsSlice, ShardArtifact, ShardConfig, ShardError,
+    ShardManifest, ShardPerf, ShardRun, ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
 };

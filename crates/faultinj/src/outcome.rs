@@ -2,6 +2,7 @@
 //! violations, Table-I outcome classes, precision/recall, and lead
 //! detection time.
 
+use crate::guided::{ess, WeightedRow};
 use crate::runner::RunResult;
 use diverseav_simworld::TrajPoint;
 
@@ -50,13 +51,8 @@ pub fn first_violation_time(traj: &[TrajPoint], baseline: &[TrajPoint], td: f64)
 
 /// Classify one run against a baseline trajectory with threshold `td`.
 pub fn classify(result: &RunResult, baseline: &[TrajPoint], td: f64) -> OutcomeClass {
-    classify_parts(
-        result.termination.label(),
-        result.has_accident(),
-        &result.trajectory,
-        baseline,
-        td,
-    )
+    let p = RunParts::from(result);
+    classify_parts(p.outcome, p.collision, p.trajectory, baseline, td)
 }
 
 /// [`classify`] from a run's serialized parts — outcome label
@@ -81,6 +77,70 @@ pub fn classify_parts(
     } else {
         OutcomeClass::Benign
     }
+}
+
+/// The parts of one run that the Table-I and guided-stratum tallies
+/// read — from a live [`RunResult`] or a shard-artifact run line.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct RunParts<'a> {
+    /// `Termination::label()` of the run.
+    pub outcome: &'a str,
+    /// Whether the ego collided.
+    pub collision: bool,
+    /// Whether the fault corrupted at least one register or frame.
+    pub activated: bool,
+    /// Guided stratum code (guided runs only).
+    pub stratum: Option<u64>,
+    /// Horvitz–Thompson weight (guided runs only).
+    pub weight: Option<f64>,
+    /// Incident label, if the run flushed its flight recording.
+    pub incident: Option<&'a str>,
+    /// Recorded ego trajectory.
+    pub trajectory: &'a [TrajPoint],
+}
+
+impl<'a> From<&'a RunResult> for RunParts<'a> {
+    fn from(r: &'a RunResult) -> Self {
+        RunParts {
+            outcome: r.termination.label(),
+            collision: r.has_accident(),
+            activated: r.fault_activated,
+            stratum: r.stratum,
+            weight: r.weight,
+            incident: r.incident.map(|k| k.label()),
+            trajectory: &r.trajectory,
+        }
+    }
+}
+
+/// The one Table-I tally: each run in order adds its weight (1 unless
+/// `weighted`, else its Horvitz–Thompson weight) to its outcome class
+/// and, when its fault activated, to `active`. Equal run sequences give
+/// bit-equal sums. `budget` is the run count; guided callers override it.
+pub(crate) fn tally<'a>(
+    runs: impl IntoIterator<Item = RunParts<'a>>,
+    baseline: &[TrajPoint],
+    td: f64,
+    weighted: bool,
+) -> WeightedRow {
+    let mut row = WeightedRow::default();
+    let mut weights = Vec::new();
+    for r in runs {
+        let w = if weighted { r.weight.expect("weighted tallies need weighted runs") } else { 1.0 };
+        weights.push(w);
+        if r.activated {
+            row.active += w;
+        }
+        match classify_parts(r.outcome, r.collision, r.trajectory, baseline, td) {
+            OutcomeClass::HangCrash => row.hang_crash += w,
+            OutcomeClass::Accident => row.accidents += w,
+            OutcomeClass::TrajViolation => row.traj_violations += w,
+            OutcomeClass::Benign => {}
+        }
+    }
+    (row.budget, row.runs) = (weights.len(), weights.len());
+    row.ess = ess(weights.into_iter());
+    row
 }
 
 /// Confusion counts of the error detector over a set of runs.
@@ -169,18 +229,8 @@ pub fn missed_hazard_probability(results: &[RunResult], baseline: &[TrajPoint], 
     if results.is_empty() {
         return 0.0;
     }
-    let missed = results
-        .iter()
-        .filter(|r| {
-            !r.termination.is_hang_or_crash()
-                && r.alarm_time.is_none()
-                && matches!(
-                    classify(r, baseline, td),
-                    OutcomeClass::Accident | OutcomeClass::TrajViolation
-                )
-        })
-        .count();
-    missed as f64 / results.len() as f64
+    // A missed hazard is exactly a detector false negative.
+    evaluate_detector(results, baseline, td).fn_ as f64 / results.len() as f64
 }
 
 #[cfg(test)]

@@ -41,6 +41,37 @@ impl FaultSpec {
             FaultSpec::Fabric { .. } => None,
         }
     }
+
+    /// Fault-class label: `"transient"` / `"permanent"` for fabric
+    /// faults, the sensor class label otherwise.
+    pub fn class_label(&self) -> &'static str {
+        match self {
+            FaultSpec::Fabric { model: FaultModel::Transient { .. }, .. } => "transient",
+            FaultSpec::Fabric { model: FaultModel::Permanent { .. }, .. } => "permanent",
+            FaultSpec::Sensor(sf) => sf.kind.label(),
+        }
+    }
+
+    /// The injection site as the journal and shard artifacts record it.
+    /// Sensor faults ride the same site schema: profile `SENSOR`, the
+    /// realization seed in `cycle`, the class label in `op`.
+    pub fn site(&self) -> diverseav_obs::FaultSite {
+        let (profile, unit, mask, cycle, op) = match *self {
+            FaultSpec::Fabric { unit, profile, model } => match model {
+                FaultModel::Transient { instr_index, mask } => {
+                    (profile.to_string(), unit, mask, Some(instr_index), None)
+                }
+                FaultModel::Permanent { op, mask } => {
+                    (profile.to_string(), unit, mask, None, Some(op.to_string()))
+                }
+            },
+            FaultSpec::Sensor(sf) => {
+                ("SENSOR".to_string(), 0, 0, Some(sf.seed), Some(sf.kind.label().to_string()))
+            }
+        };
+        let model = if self.as_sensor().is_some() { "sensor" } else { self.class_label() };
+        diverseav_obs::FaultSite { profile, unit, model: model.to_string(), mask, cycle, op }
+    }
 }
 
 impl fmt::Display for FaultSpec {
@@ -201,36 +232,6 @@ pub fn run_record(
     index: usize,
     r: &RunResult,
 ) -> diverseav_obs::RunRecord {
-    let fault = r.fault.map(|f| match f {
-        FaultSpec::Fabric { unit, profile, model } => {
-            let (model, cycle, op, mask) = match model {
-                FaultModel::Transient { instr_index, mask } => {
-                    ("transient", Some(instr_index), None, mask)
-                }
-                FaultModel::Permanent { op, mask } => {
-                    ("permanent", None, Some(op.to_string()), mask)
-                }
-            };
-            diverseav_obs::FaultSite {
-                profile: profile.to_string(),
-                unit,
-                model: model.to_string(),
-                mask,
-                cycle,
-                op,
-            }
-        }
-        // Sensor faults ride the same site schema: the realization seed
-        // in `cycle`, the class label in `op`.
-        FaultSpec::Sensor(sf) => diverseav_obs::FaultSite {
-            profile: "SENSOR".to_string(),
-            unit: 0,
-            model: "sensor".to_string(),
-            mask: 0,
-            cycle: Some(sf.seed),
-            op: Some(sf.kind.label().to_string()),
-        },
-    });
     diverseav_obs::RunRecord {
         campaign: campaign.to_string(),
         kind,
@@ -245,7 +246,7 @@ pub fn run_record(
         fault_onset_time: r.fault_onset_time,
         min_cvip: r.min_cvip,
         div_peak: r.divergence_peak(),
-        fault,
+        fault: r.fault.map(|f| f.site()),
     }
 }
 

@@ -10,8 +10,9 @@
 //!   generator uses. The assignment depends only on (plan seed, unit,
 //!   shard count): every shard of a campaign computes the identical
 //!   partition independently, with no coordination.
-//! * **Shard executor** — [`execute_shard`] runs one shard's units in
-//!   deterministic batches and appends them to a versioned JSONL artifact.
+//! * **Shard executor** — [`execute_shard`] runs one shard's units on the
+//!   campaign executor ([`crate::executor`]) in deterministic batches and
+//!   appends them to a versioned JSONL artifact.
 //!   Each batch commits atomically (runs first, then a batch marker with
 //!   cumulative metrics); an interrupted shard resumes at its last
 //!   committed batch, and the finished artifact is byte-identical to an
@@ -41,24 +42,19 @@
 //! [`run_campaign_cached`]: crate::campaign::run_campaign_cached
 
 use crate::cache::sensor_fingerprint;
-use crate::campaign::{
-    plan_seed, scenario_for, splitmix64, Campaign, CampaignScale, TableRow, GOLDEN_SEED_BASE,
-    INJECTED_SEED_BASE,
-};
-use crate::exec::{par_map, thread_count};
-use crate::guided::{
-    ess, is_safety_critical, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, WeightedRow,
-};
-use crate::outcome::{classify_parts, mean_trajectory, OutcomeClass};
-use crate::plan::{generate_plan, PlanConfig};
-use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
-use diverseav_fabric::FaultModel;
+use crate::campaign::{plan_seed, splitmix64, Campaign, CampaignScale, TableRow};
+use crate::exec::thread_count;
+use crate::executor::Executor;
+pub use crate::executor::{campaign_units, RunUnit};
+use crate::guided::{stratum_tallies, EpochSummary, WeightedRow};
+use crate::outcome::{mean_trajectory, tally, RunParts};
+use crate::runner::RunResult;
 use diverseav_obs::flight::{self, TickRecord};
-use diverseav_obs::json::{self, Value};
+use diverseav_obs::json::{self, req, uint, Value};
 use diverseav_obs::{metrics, profile, FaultSite, HistSnapshot, TimeSource};
 use diverseav_runtime::DeadlineStats;
-use diverseav_simworld::{Scenario, SensorConfig, TrajPoint, Vec2};
-use std::collections::BTreeMap;
+use diverseav_simworld::{SensorConfig, TrajPoint, Vec2};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -104,31 +100,12 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
-/// One schedulable run of a campaign.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum RunUnit {
-    /// Golden (fault-free) run `i`, seed `GOLDEN_SEED_BASE + i`.
-    Golden(usize),
-    /// Injected run `i` (plan entry `i`), seed `INJECTED_SEED_BASE + i`.
-    Injected(usize),
-    /// Training run `rep` of long route `route` (partition support for
-    /// detector-training campaigns; the campaign executor never
-    /// schedules these).
-    Training {
-        /// Long-route index (0..3).
-        route: u8,
-        /// Repetition within the route.
-        rep: usize,
-    },
-}
-
 /// Unique 64-bit code of a unit, fed into the partition hash. The tag
-/// byte keeps golden/injected/training spaces disjoint.
+/// byte keeps the golden and injected spaces disjoint.
 fn unit_code(unit: RunUnit) -> u64 {
     match unit {
         RunUnit::Golden(i) => (0x47 << 56) | i as u64,
         RunUnit::Injected(i) => (0x49 << 56) | i as u64,
-        RunUnit::Training { route, rep } => (0x54 << 56) | ((route as u64) << 32) | rep as u64,
     }
 }
 
@@ -137,19 +114,6 @@ fn unit_code(unit: RunUnit) -> u64 {
 /// same partition — and statistically balanced via SplitMix64.
 pub fn unit_shard(plan_seed: u64, unit: RunUnit, shard_count: usize) -> usize {
     (splitmix64(plan_seed ^ unit_code(unit)) % shard_count.max(1) as u64) as usize
-}
-
-/// The full run set of a campaign, in engine order (golden-major).
-pub fn campaign_units(golden_runs: usize, injected_runs: usize) -> Vec<RunUnit> {
-    (0..golden_runs).map(RunUnit::Golden).chain((0..injected_runs).map(RunUnit::Injected)).collect()
-}
-
-/// The run set of a training-collection campaign: 3 long routes ×
-/// `training_runs` repetitions, route-major.
-pub fn training_units(training_runs: usize) -> Vec<RunUnit> {
-    (0..3u8)
-        .flat_map(|route| (0..training_runs).map(move |rep| RunUnit::Training { route, rep }))
-        .collect()
 }
 
 /// Fingerprint of everything that determines a campaign's run set:
@@ -162,11 +126,6 @@ pub fn campaign_fingerprint(
     scale: &CampaignScale,
     sensor: &SensorConfig,
 ) -> u64 {
-    let source_code: u64 = match profile::source() {
-        TimeSource::Modeled => 1,
-        TimeSource::Wall => 2,
-        TimeSource::Off => 3,
-    };
     let words = [
         plan_seed(campaign),
         scale.n_transient as u64,
@@ -174,7 +133,7 @@ pub fn campaign_fingerprint(
         scale.golden_runs as u64,
         scale.long_route_duration.to_bits(),
         scale.training_runs as u64,
-        source_code,
+        profile_source().1,
     ];
     let mut fp = 0xD1CE ^ SHARD_SCHEMA_VERSION as u64;
     for w in words.into_iter().chain(sensor_fingerprint(sensor)) {
@@ -197,12 +156,13 @@ pub fn guided_fingerprint(
     splitmix64(campaign_fingerprint(campaign, scale, sensor) ^ (0x6D1D + epochs as u64))
 }
 
-/// Label of the active profiling time source, recorded in the manifest.
-fn profile_source_label() -> &'static str {
+/// The active profiling time source: its manifest label and its
+/// fingerprint code.
+fn profile_source() -> (&'static str, u64) {
     match profile::source() {
-        TimeSource::Modeled => "modeled",
-        TimeSource::Wall => "wall",
-        TimeSource::Off => "off",
+        TimeSource::Modeled => ("modeled", 1),
+        TimeSource::Wall => ("wall", 2),
+        TimeSource::Off => ("off", 3),
     }
 }
 
@@ -231,10 +191,10 @@ impl ShardSpec {
     }
 }
 
-/// One epoch of a guided campaign, as seen by one shard. All shards of
-/// one epoch must carry the identical spec (the prior included) — the
-/// epoch plan is a pure function of it, so every shard draws the same
-/// plan independently, exactly like the uniform path.
+/// One epoch of a guided campaign: the executor's guided plan source.
+/// All shards of one epoch must carry the identical spec (the prior
+/// included) — the epoch plan is a pure function of it, so every shard
+/// draws the same plan independently, exactly like the uniform path.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GuidedShardSpec {
     /// Total epochs of the guided campaign.
@@ -312,41 +272,10 @@ pub struct ShardRun {
 }
 
 impl ShardRun {
-    /// Flatten a live [`RunResult`] (same fault-site mapping as the
-    /// run journal's [`run_record`](crate::runner::run_record)).
+    /// Flatten a live [`RunResult`]; the site is
+    /// [`FaultSpec::site`](crate::runner::FaultSpec::site) (a sensor
+    /// fault's realized onset rides in `fault_onset_time`).
     pub fn from_result(kind: &str, index: usize, r: &RunResult) -> Self {
-        let fault = r.fault.map(|f| match f {
-            FaultSpec::Fabric { unit, profile, model } => {
-                let (model, cycle, op, mask) = match model {
-                    FaultModel::Transient { instr_index, mask } => {
-                        ("transient", Some(instr_index), None, mask)
-                    }
-                    FaultModel::Permanent { op, mask } => {
-                        ("permanent", None, Some(op.to_string()), mask)
-                    }
-                };
-                FaultSite {
-                    profile: profile.to_string(),
-                    unit,
-                    model: model.to_string(),
-                    mask,
-                    cycle,
-                    op,
-                }
-            }
-            // Sensor faults reuse the fabric site fields: realization
-            // seed in `cycle`, class label in `op`. The realized onset
-            // time travels separately, in the run line's
-            // `fault_onset_time` (schema v2).
-            FaultSpec::Sensor(sf) => FaultSite {
-                profile: "SENSOR".to_string(),
-                unit: 0,
-                model: "sensor".to_string(),
-                mask: 0,
-                cycle: Some(sf.seed),
-                op: Some(sf.kind.label().to_string()),
-            },
-        });
         ShardRun {
             kind: kind.to_string(),
             index,
@@ -364,7 +293,7 @@ impl ShardRun {
             incident: r.incident.map(|k| k.label().to_string()),
             stratum: r.stratum,
             weight: r.weight,
-            fault,
+            fault: r.fault.map(|f| f.site()),
             trajectory: r.trajectory.clone(),
         }
     }
@@ -433,67 +362,51 @@ impl ShardRun {
 
     /// Parse a line rendered by [`render_line`]; returns `(batch, run)`.
     pub fn parse(v: &Value) -> Result<(usize, ShardRun), String> {
-        let batch = req_usize(v, "batch")?;
-        let fault = match req(v, "fault")? {
-            Value::Null => None,
-            f => {
-                let cycle = match req(f, "cycle")? {
-                    Value::Null => None,
-                    c => Some(json::parse_u64_str(c)?),
-                };
-                let op = match req(f, "op")? {
-                    Value::Null => None,
-                    o => Some(o.as_str().ok_or("fault op must be a string")?.to_string()),
-                };
-                Some(FaultSite {
-                    profile: req_str(f, "profile")?,
-                    unit: req_usize(f, "unit")?,
-                    model: req_str(f, "model")?,
-                    mask: req_usize(f, "mask")? as u32,
-                    cycle,
-                    op,
-                })
-            }
-        };
-        let traj_val = req(v, "trajectory")?.as_arr().ok_or("trajectory must be an array")?;
+        let fault = json::opt(v, "fault", |f| {
+            Ok(FaultSite {
+                profile: req(f, "profile", json::string)?,
+                unit: req(f, "unit", uint)?,
+                model: req(f, "model", json::string)?,
+                mask: req(f, "mask", uint)?,
+                cycle: json::opt(f, "cycle", json::parse_u64_str)?,
+                op: json::opt(f, "op", json::string)?,
+            })
+        })?;
+        let traj_val = req(v, "trajectory", json::array)?;
         let mut trajectory = Vec::with_capacity(traj_val.len());
         for p in traj_val {
             let s = p.as_str().ok_or("trajectory points must be strings")?;
-            let mut parts = s.split(':');
-            let mut next_bits = || -> Result<f64, String> {
-                let part = parts.next().ok_or_else(|| format!("bad trajectory point {s:?}"))?;
-                if part.len() != 16 {
-                    return Err(format!("bad trajectory point {s:?}"));
-                }
-                u64::from_str_radix(part, 16)
-                    .map(f64::from_bits)
-                    .map_err(|e| format!("bad trajectory point {s:?}: {e}"))
-            };
-            let (t, x, y) = (next_bits()?, next_bits()?, next_bits()?);
-            if parts.next().is_some() {
+            let mut bits = s.split(':').map(json::f64_from_hex);
+            let (Some(t), Some(x), Some(y), None) =
+                (bits.next(), bits.next(), bits.next(), bits.next())
+            else {
                 return Err(format!("bad trajectory point {s:?}"));
-            }
-            trajectory.push(TrajPoint { t, pos: Vec2 { x, y } });
+            };
+            let point =
+                |p: Result<f64, String>| p.map_err(|e| format!("bad trajectory point {s:?}: {e}"));
+            trajectory.push(TrajPoint { t: point(t)?, pos: Vec2 { x: point(x)?, y: point(y)? } });
         }
+        let bits = |key: &str| req(v, key, json::parse_f64_bits);
+        let opt_bits = |key: &str| json::opt(v, key, json::parse_f64_bits);
         Ok((
-            batch,
+            req(v, "batch", uint)?,
             ShardRun {
-                kind: req_str(v, "kind")?,
-                index: req_usize(v, "index")?,
-                seed: req_usize(v, "seed")? as u64,
-                outcome: req_str(v, "outcome")?,
-                end_time: req_f64_bits(v, "end_time")?,
-                collision_time: opt_f64_bits_member(v, "collision_time")?,
-                alarm_time: opt_f64_bits_member(v, "alarm_time")?,
-                fault_activated: req_bool(v, "fault_activated")?,
-                fault_onset_time: opt_f64_bits_member(v, "fault_onset_time")?,
-                min_cvip: req_f64_bits(v, "min_cvip")?,
-                red_light_violations: req_usize(v, "red_light_violations")? as u32,
-                ticks: req_u64_str(v, "ticks")?,
-                deadline_misses: req_u64_str(v, "deadline_misses")?,
-                incident: opt_str_member(v, "incident")?,
-                stratum: opt_hex64_member(v, "stratum")?,
-                weight: opt_f64_bits_member(v, "weight")?,
+                kind: req(v, "kind", json::string)?,
+                index: req(v, "index", uint)?,
+                seed: req(v, "seed", uint)?,
+                outcome: req(v, "outcome", json::string)?,
+                end_time: bits("end_time")?,
+                collision_time: opt_bits("collision_time")?,
+                alarm_time: opt_bits("alarm_time")?,
+                fault_activated: req(v, "fault_activated", json::boolean)?,
+                fault_onset_time: opt_bits("fault_onset_time")?,
+                min_cvip: bits("min_cvip")?,
+                red_light_violations: req(v, "red_light_violations", uint)?,
+                ticks: req(v, "ticks", json::parse_u64_str)?,
+                deadline_misses: req(v, "deadline_misses", json::parse_u64_str)?,
+                incident: json::opt(v, "incident", json::string)?,
+                stratum: json::opt(v, "stratum", json::hex64)?,
+                weight: opt_bits("weight")?,
                 fault,
                 trajectory,
             },
@@ -525,23 +438,14 @@ pub struct MetricsSlice {
 impl MetricsSlice {
     /// Snapshot the shard-scope subset of the global registry.
     pub fn capture() -> Self {
+        fn keep<V>(m: BTreeMap<String, V>, prefixes: &[&str]) -> BTreeMap<String, V> {
+            m.into_iter().filter(|(k, _)| prefixes.iter().any(|p| k.starts_with(p))).collect()
+        }
         let snap = metrics::snapshot();
         MetricsSlice {
-            counters: snap
-                .counters
-                .into_iter()
-                .filter(|(k, _)| COUNTER_PREFIXES.iter().any(|p| k.starts_with(p)))
-                .collect(),
-            gauges: snap
-                .gauges
-                .into_iter()
-                .filter(|(k, _)| GAUGE_PREFIXES.iter().any(|p| k.starts_with(p)))
-                .collect(),
-            hists: snap
-                .hists
-                .into_iter()
-                .filter(|(k, _)| HIST_PREFIXES.iter().any(|p| k.starts_with(p)))
-                .collect(),
+            counters: keep(snap.counters, &COUNTER_PREFIXES),
+            gauges: keep(snap.gauges, &GAUGE_PREFIXES),
+            hists: keep(snap.hists, &HIST_PREFIXES),
         }
     }
 
@@ -581,7 +485,8 @@ impl MetricsSlice {
     /// histograms absorb (bucket-wise add, max of maxima).
     pub fn add(&mut self, other: &MetricsSlice) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            let slot = self.counters.entry(k.clone()).or_insert(0);
+            *slot = slot.saturating_add(*v);
         }
         for (k, v) in &other.gauges {
             let slot = self.gauges.entry(k.clone()).or_insert(*v);
@@ -641,22 +546,22 @@ impl MetricsSlice {
     /// Parse the members rendered by [`Self::render_fields`].
     fn parse_fields(v: &Value) -> Result<MetricsSlice, String> {
         let mut out = MetricsSlice::default();
-        for (k, val) in req(v, "counters")?.as_obj().ok_or("counters must be an object")? {
+        let obj = |key: &str| req(v, key, json::object);
+        for (k, val) in obj("counters")? {
             out.counters.insert(k.clone(), json::parse_u64_str(val)?);
         }
-        for (k, val) in req(v, "gauges")?.as_obj().ok_or("gauges must be an object")? {
+        for (k, val) in obj("gauges")? {
             out.gauges.insert(k.clone(), json::parse_f64_bits(val)?);
         }
-        for (k, val) in req(v, "hists")?.as_obj().ok_or("hists must be an object")? {
-            let sum = req_u64_str(val, "sum")?;
-            let max = req_u64_str(val, "max")?;
-            let arr = req(val, "buckets")?.as_arr().ok_or("buckets must be an array")?;
+        for (k, val) in obj("hists")? {
+            let sum = req(val, "sum", json::parse_u64_str)?;
+            let max = req(val, "max", json::parse_u64_str)?;
+            let arr = req(val, "buckets", json::array)?;
             let mut pairs = Vec::with_capacity(arr.len());
             for p in arr {
                 let pair = p.as_arr().filter(|a| a.len() == 2);
                 let pair = pair.ok_or("bucket entries must be [index, count] pairs")?;
-                let i = pair[0].as_f64().ok_or("bucket index must be a number")?;
-                pairs.push((i as usize, json::parse_u64_str(&pair[1])?));
+                pairs.push((uint(&pair[0])?, json::parse_u64_str(&pair[1])?));
             }
             out.hists.insert(k.clone(), HistSnapshot::from_sparse(&pairs, sum, max)?);
         }
@@ -746,12 +651,12 @@ impl GuidedManifest {
 
     fn parse(v: &Value) -> Result<GuidedManifest, String> {
         Ok(GuidedManifest {
-            epochs: req_usize(v, "epochs")?,
-            epoch: req_usize(v, "epoch")?,
-            budget: req_usize(v, "budget")?,
-            epoch_start: req_usize(v, "epoch_start")?,
-            epoch_runs: req_usize(v, "epoch_runs")?,
-            prior_digest: req_hex64(v, "prior_digest")?,
+            epochs: req(v, "epochs", uint)?,
+            epoch: req(v, "epoch", uint)?,
+            budget: req(v, "budget", uint)?,
+            epoch_start: req(v, "epoch_start", uint)?,
+            epoch_runs: req(v, "epoch_runs", uint)?,
+            prior_digest: req(v, "prior_digest", json::hex64)?,
         })
     }
 }
@@ -789,40 +694,40 @@ impl ShardManifest {
 
     /// Parse a manifest line; rejects wrong types and schema versions.
     pub fn parse(v: &Value) -> Result<ShardManifest, String> {
-        let ty = req_str(v, "type")?;
-        if ty != "shard_manifest" {
-            return Err(format!("not a shard manifest (type {ty:?})"));
-        }
-        let schema_version = req_usize(v, "schema_version")? as u32;
-        if schema_version != SHARD_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported shard schema version {schema_version} \
-                 (this build reads version {SHARD_SCHEMA_VERSION})"
-            ));
-        }
+        json::expect_type(v, "shard_manifest")?;
+        let schema_version =
+            supported("shard", req(v, "schema_version", uint)?, SHARD_SCHEMA_VERSION)?;
+        let text = |key: &str| req(v, key, json::string);
         Ok(ShardManifest {
             schema_version,
-            fingerprint: req_hex64(v, "fingerprint")?,
-            plan_seed: req_hex64(v, "plan_seed")?,
-            campaign: req_str(v, "campaign")?,
-            scenario: req_str(v, "scenario")?,
-            scenario_name: req_str(v, "scenario_name")?,
-            target: req_str(v, "target")?,
-            kind: req_str(v, "kind")?,
-            mode: req_str(v, "mode")?,
-            profile_source: req_str(v, "profile_source")?,
-            shard_index: req_usize(v, "shard_index")?,
-            shard_count: req_usize(v, "shard_count")?,
-            batch_size: req_usize(v, "batch_size")?,
-            golden_runs: req_usize(v, "golden_runs")?,
-            injected_runs: req_usize(v, "injected_runs")?,
-            assigned_runs: req_usize(v, "assigned_runs")?,
-            guided: match req(v, "guided")? {
-                Value::Null => None,
-                g => Some(GuidedManifest::parse(g)?),
-            },
+            fingerprint: req(v, "fingerprint", json::hex64)?,
+            plan_seed: req(v, "plan_seed", json::hex64)?,
+            campaign: text("campaign")?,
+            scenario: text("scenario")?,
+            scenario_name: text("scenario_name")?,
+            target: text("target")?,
+            kind: text("kind")?,
+            mode: text("mode")?,
+            profile_source: text("profile_source")?,
+            shard_index: req(v, "shard_index", uint)?,
+            shard_count: req(v, "shard_count", uint)?,
+            batch_size: req(v, "batch_size", uint)?,
+            golden_runs: req(v, "golden_runs", uint)?,
+            injected_runs: req(v, "injected_runs", uint)?,
+            assigned_runs: req(v, "assigned_runs", uint)?,
+            guided: json::opt(v, "guided", GuidedManifest::parse)?,
         })
     }
+}
+
+/// `found` if it is the `what` schema version this build reads.
+fn supported(what: &str, found: u32, want: u32) -> Result<u32, String> {
+    if found != want {
+        return Err(format!(
+            "unsupported {what} schema version {found} (this build reads version {want})"
+        ));
+    }
+    Ok(found)
 }
 
 /// One committed checkpoint batch.
@@ -843,9 +748,9 @@ pub struct BatchMark {
 impl BatchMark {
     fn parse(v: &Value) -> Result<BatchMark, String> {
         Ok(BatchMark {
-            batch: req_usize(v, "batch")?,
-            wall_secs: req(v, "wall_secs")?.as_f64().unwrap_or(0.0),
-            threads: req_usize(v, "threads")?,
+            batch: req(v, "batch", uint)?,
+            wall_secs: json::member(v, "wall_secs")?.as_f64().unwrap_or(0.0),
+            threads: req(v, "threads", uint)?,
             metrics: MetricsSlice::parse_fields(v)?,
         })
     }
@@ -983,32 +888,18 @@ impl IncidentManifest {
 
     /// Parse a sidecar manifest line; rejects wrong types and versions.
     pub fn parse(v: &Value) -> Result<IncidentManifest, String> {
-        let ty = req_str(v, "type")?;
-        if ty != "incident_manifest" {
-            return Err(format!("not an incident manifest (type {ty:?})"));
-        }
-        let flight_schema_version = req_usize(v, "flight_schema_version")? as u32;
-        if flight_schema_version != flight::FLIGHT_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported flight schema version {flight_schema_version} \
-                 (this build reads version {})",
-                flight::FLIGHT_SCHEMA_VERSION
-            ));
-        }
-        let shard_schema_version = req_usize(v, "shard_schema_version")? as u32;
-        if shard_schema_version != SHARD_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported shard schema version {shard_schema_version} \
-                 (this build reads version {SHARD_SCHEMA_VERSION})"
-            ));
-        }
+        json::expect_type(v, "incident_manifest")?;
+        let version = |key: &str, what: &str, want: u32| supported(what, req(v, key, uint)?, want);
+        let flight_schema_version =
+            version("flight_schema_version", "flight", flight::FLIGHT_SCHEMA_VERSION)?;
+        let shard_schema_version = version("shard_schema_version", "shard", SHARD_SCHEMA_VERSION)?;
         Ok(IncidentManifest {
             flight_schema_version,
             shard_schema_version,
-            fingerprint: req_hex64(v, "fingerprint")?,
-            plan_seed: req_hex64(v, "plan_seed")?,
-            shard_index: req_usize(v, "shard_index")?,
-            shard_count: req_usize(v, "shard_count")?,
+            fingerprint: req(v, "fingerprint", json::hex64)?,
+            plan_seed: req(v, "plan_seed", json::hex64)?,
+            shard_index: req(v, "shard_index", uint)?,
+            shard_count: req(v, "shard_count", uint)?,
         })
     }
 }
@@ -1041,15 +932,7 @@ impl IncidentRecord {
     /// Flatten a live [`RunResult`]'s incident, if it had one.
     pub fn from_result(kind: &str, index: usize, r: &RunResult) -> Option<IncidentRecord> {
         let incident = r.incident?;
-        let fault_class = r.fault.map(|f| match f {
-            FaultSpec::Fabric { model: FaultModel::Transient { .. }, .. } => {
-                "transient".to_string()
-            }
-            FaultSpec::Fabric { model: FaultModel::Permanent { .. }, .. } => {
-                "permanent".to_string()
-            }
-            FaultSpec::Sensor(sf) => sf.kind.label().to_string(),
-        });
+        let fault_class = r.fault.map(|f| f.class_label().to_string());
         Some(IncidentRecord {
             kind: kind.to_string(),
             index,
@@ -1093,8 +976,8 @@ impl IncidentRecord {
     /// [`Self::render_merged`]; returns `(batch, record)` with batch 0
     /// for merged lines.
     pub fn parse(v: &Value) -> Result<(usize, IncidentRecord), String> {
-        let batch = if v.get("batch").is_some() { req_usize(v, "batch")? } else { 0 };
-        let arr = req(v, "flight")?.as_arr().ok_or("flight must be an array")?;
+        let batch = if v.get("batch").is_some() { req(v, "batch", uint)? } else { 0 };
+        let arr = req(v, "flight", json::array)?;
         let mut records = Vec::with_capacity(arr.len());
         for rv in arr {
             records.push(flight::parse_record(rv)?);
@@ -1102,13 +985,13 @@ impl IncidentRecord {
         Ok((
             batch,
             IncidentRecord {
-                kind: req_str(v, "kind")?,
-                index: req_usize(v, "index")?,
-                seed: req_usize(v, "seed")? as u64,
-                incident: req_str(v, "incident")?,
-                fault_class: opt_str_member(v, "fault_class")?,
-                fault_onset_time: opt_f64_bits_member(v, "fault_onset_time")?,
-                alarm_time: opt_f64_bits_member(v, "alarm_time")?,
+                kind: req(v, "kind", json::string)?,
+                index: req(v, "index", uint)?,
+                seed: req(v, "seed", uint)?,
+                incident: req(v, "incident", json::string)?,
+                fault_class: json::opt(v, "fault_class", json::string)?,
+                fault_onset_time: json::opt(v, "fault_onset_time", json::parse_f64_bits)?,
+                alarm_time: json::opt(v, "alarm_time", json::parse_f64_bits)?,
                 flight: records,
             },
         ))
@@ -1170,62 +1053,6 @@ pub struct ShardStatus {
     pub complete: bool,
 }
 
-/// Build a run configuration exactly as the monolithic campaign path
-/// does (no detector, no trace collection — the sharded path covers
-/// fault-propagation campaigns).
-fn run_cfg(
-    cfg: &ShardConfig,
-    scenario: &Scenario,
-    seed: u64,
-    fault: Option<FaultSpec>,
-) -> RunConfig {
-    let mut rc = RunConfig::new(scenario.clone(), cfg.campaign.mode, seed);
-    rc.sensor = cfg.sensor;
-    rc.fault = fault;
-    rc
-}
-
-fn shard_manifest(
-    cfg: &ShardConfig,
-    scenario: &Scenario,
-    golden_runs: usize,
-    injected_runs: usize,
-    assigned_runs: usize,
-    guided: Option<GuidedManifest>,
-) -> ShardManifest {
-    let fingerprint = match &guided {
-        Some(g) => guided_fingerprint(&cfg.campaign, &cfg.scale, &cfg.sensor, g.epochs),
-        None => campaign_fingerprint(&cfg.campaign, &cfg.scale, &cfg.sensor),
-    };
-    ShardManifest {
-        schema_version: SHARD_SCHEMA_VERSION,
-        fingerprint,
-        plan_seed: plan_seed(&cfg.campaign),
-        campaign: cfg.campaign.to_string(),
-        scenario: cfg.campaign.scenario.abbrev().to_string(),
-        scenario_name: scenario.name.to_string(),
-        target: cfg.campaign.target.to_string(),
-        kind: cfg.campaign.kind.label().to_string(),
-        mode: cfg.campaign.mode.to_string(),
-        profile_source: profile_source_label().to_string(),
-        shard_index: cfg.spec.index,
-        shard_count: cfg.spec.count,
-        batch_size: cfg.batch_size.max(1),
-        golden_runs,
-        injected_runs,
-        assigned_runs,
-        guided,
-    }
-}
-
-/// One planned injected run of a shard: the fault, plus stratum/weight
-/// for guided campaigns.
-struct PlannedRun {
-    spec: FaultSpec,
-    stratum: Option<u64>,
-    weight: Option<f64>,
-}
-
 /// Execute one shard of a campaign, writing (or resuming) the artifact
 /// at `path`. See [`execute_shard_limited`] for the mechanics.
 pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, ShardError> {
@@ -1247,7 +1074,7 @@ pub fn execute_shard_limited(
     max_new_batches: Option<usize>,
 ) -> Result<ShardStatus, ShardError> {
     cfg.spec.validate()?;
-    let scenario = scenario_for(cfg.campaign.scenario, &cfg.scale);
+    let mut exec = Executor::new(cfg.campaign, &cfg.scale, cfg.sensor, None, false);
     let golden_runs = cfg.scale.golden_runs.max(1);
     let seed = plan_seed(&cfg.campaign);
 
@@ -1256,7 +1083,7 @@ pub fn execute_shard_limited(
     // bracketed so it is charged exactly once — by the shard that owns
     // Golden(0), in the batch that commits it.
     let s0 = MetricsSlice::capture();
-    let profile_run = run_experiment(&run_cfg(cfg, &scenario, GOLDEN_SEED_BASE, None));
+    let profile_run = exec.run(RunUnit::Golden(0));
     let s1 = MetricsSlice::capture();
     let profiling_slice = s1.delta(&s0);
 
@@ -1264,94 +1091,57 @@ pub fn execute_shard_limited(
     // campaign. Both are pure functions of (profiling run, campaign,
     // scale) — plus, for guided epochs > 0, the prior summary — so every
     // shard derives the identical plan independently.
-    let (plan, injected_base, campaign_injected, epoch_golden, guided_manifest) = match &cfg.guided
-    {
-        None => {
-            let uniform = generate_plan(
-                &profile_run,
-                &PlanConfig {
-                    kind: cfg.campaign.kind,
-                    target: cfg.campaign.target,
-                    n_transient: cfg.scale.n_transient,
-                    repeats: cfg.scale.permanent_repeats,
-                    seed,
-                },
-            );
-            let plan: Vec<PlannedRun> = uniform
-                .into_iter()
-                .map(|spec| PlannedRun { spec, stratum: None, weight: None })
-                .collect();
-            let n = plan.len();
-            (plan, 0usize, n, golden_runs, None)
-        }
-        Some(g) => {
-            let mismatch = |msg: String| ShardError::Mismatch(msg);
-            if g.epoch >= g.epochs.max(1) {
-                return Err(mismatch(format!(
-                    "guided epoch {} out of range ({} epochs)",
-                    g.epoch, g.epochs
-                )));
-            }
-            match (&g.prior, g.epoch) {
-                (None, 0) | (Some(_), 1..) => {}
-                (Some(_), 0) => return Err(mismatch("guided epoch 0 takes no prior".into())),
-                (None, _) => {
-                    return Err(mismatch(format!(
-                        "guided epoch {} needs the merged prior-epoch summary",
-                        g.epoch
-                    )))
-                }
-            }
-            let planner = GuidedPlanner::new(
-                &profile_run,
-                &cfg.campaign,
-                &cfg.scale,
-                GuidedConfig { epochs: g.epochs },
-            )
-            .map_err(mismatch)?;
-            let epoch_plan = planner.epoch_plan(g.epoch, g.prior.as_ref()).map_err(mismatch)?;
-            let start = planner.epoch_start(g.epoch);
-            let gm = GuidedManifest {
-                epochs: planner.epochs,
-                epoch: g.epoch,
-                budget: planner.budget,
-                epoch_start: start,
-                epoch_runs: epoch_plan.len(),
-                prior_digest: g.prior.as_ref().map(EpochSummary::digest).unwrap_or(0),
-            };
-            let plan: Vec<PlannedRun> = epoch_plan
-                .into_iter()
-                .map(|GuidedSpec { spec, stratum, weight }| PlannedRun {
-                    spec,
-                    stratum: Some(stratum),
-                    weight: Some(weight),
-                })
-                .collect();
-            // Golden runs belong to the pilot epoch only: later epochs
-            // reuse the merged epoch-0 baseline, so scheduling them again
-            // would double-count golden coverage in the merge.
-            let epoch_golden = if g.epoch == 0 { golden_runs } else { 0 };
-            (plan, start, planner.budget, epoch_golden, Some(gm))
-        }
-    };
-    let units: Vec<RunUnit> = campaign_units(epoch_golden, plan.len())
+    exec.set_plan(&profile_run, cfg.guided.as_ref()).map_err(ShardError::Mismatch)?;
+    let guided_manifest = cfg.guided.as_ref().map(|g| GuidedManifest {
+        epochs: g.epochs.max(1),
+        epoch: g.epoch,
+        budget: exec.plan_total,
+        epoch_start: exec.plan_start,
+        epoch_runs: exec.planned().len(),
+        prior_digest: g.prior.as_ref().map(EpochSummary::digest).unwrap_or(0),
+    });
+    // Golden runs belong to the pilot epoch only: later epochs reuse the
+    // merged epoch-0 baseline, so scheduling them again would
+    // double-count golden coverage in the merge.
+    let epoch_golden =
+        if cfg.guided.as_ref().is_some_and(|g| g.epoch > 0) { 0 } else { golden_runs };
+    let units: Vec<RunUnit> = campaign_units(epoch_golden, 0)
         .into_iter()
-        .map(|u| match u {
-            RunUnit::Injected(j) => RunUnit::Injected(injected_base + j),
-            other => other,
-        })
+        .chain(exec.planned())
         .filter(|u| unit_shard(seed, *u, cfg.spec.count) == cfg.spec.index)
         .collect();
     let batch_size = cfg.batch_size.max(1);
     let total_batches = units.len().div_ceil(batch_size);
-    let manifest = shard_manifest(
-        cfg,
-        &scenario,
+    let status = |resumed_batches, executed_batches, complete| ShardStatus {
+        total_batches,
+        resumed_batches,
+        executed_batches,
+        assigned_runs: units.len(),
+        complete,
+    };
+    let c = &cfg.campaign;
+    let manifest = ShardManifest {
+        schema_version: SHARD_SCHEMA_VERSION,
+        fingerprint: match &guided_manifest {
+            Some(g) => guided_fingerprint(c, &cfg.scale, &cfg.sensor, g.epochs),
+            None => campaign_fingerprint(c, &cfg.scale, &cfg.sensor),
+        },
+        plan_seed: seed,
+        campaign: c.to_string(),
+        scenario: c.scenario.abbrev().to_string(),
+        scenario_name: exec.scenario.name.to_string(),
+        target: c.target.to_string(),
+        kind: c.kind.label().to_string(),
+        mode: c.mode.to_string(),
+        profile_source: profile_source().0.to_string(),
+        shard_index: cfg.spec.index,
+        shard_count: cfg.spec.count,
+        batch_size,
         golden_runs,
-        campaign_injected,
-        units.len(),
-        guided_manifest,
-    );
+        injected_runs: exec.plan_total,
+        assigned_runs: units.len(),
+        guided: guided_manifest,
+    };
 
     // Resume from an existing checkpoint when one is present.
     let mut done_batches = 0usize;
@@ -1369,24 +1159,11 @@ pub fn execute_shard_limited(
                 )));
             }
             if art.complete {
-                return Ok(ShardStatus {
-                    total_batches,
-                    resumed_batches: art.batches.len(),
-                    executed_batches: 0,
-                    assigned_runs: units.len(),
-                    complete: true,
-                });
+                return Ok(status(art.batches.len(), 0, true));
             }
             done_batches = art.batches.len();
             cumulative = art.metrics();
-            prefix = text.lines().take(art.committed_lines).fold(
-                String::with_capacity(text.len()),
-                |mut acc, l| {
-                    acc.push_str(l);
-                    acc.push('\n');
-                    acc
-                },
-            );
+            prefix = text.lines().take(art.committed_lines).flat_map(|l| [l, "\n"]).collect();
         }
     }
 
@@ -1416,59 +1193,37 @@ pub fn execute_shard_limited(
                 inc_path.display()
             )));
         }
-        for (b, rec) in &art.records {
-            if *b < done_batches {
-                inc_prefix.push_str(&rec.render_line(*b));
-                inc_prefix.push('\n');
-                incident_count += 1;
-            }
+        for (b, rec) in art.records.iter().filter(|(b, _)| *b < done_batches) {
+            inc_prefix += &(rec.render_line(*b) + "\n");
+            incident_count += 1;
         }
     }
 
+    // Each write is one commit: appended, then flushed.
+    let commit = |file: &mut fs::File, text: &str| -> std::io::Result<()> {
+        file.write_all(text.as_bytes())?;
+        file.flush()
+    };
     let mut file = fs::File::create(path)?;
-    file.write_all(prefix.as_bytes())?;
-    file.flush()?;
+    commit(&mut file, &prefix)?;
     let mut inc_file = fs::File::create(&inc_path)?;
-    inc_file.write_all(inc_prefix.as_bytes())?;
-    inc_file.flush()?;
+    commit(&mut inc_file, &inc_prefix)?;
 
     let threads = thread_count();
     let mut executed = 0usize;
     for (b, chunk) in units.chunks(batch_size).enumerate().skip(done_batches) {
         if let Some(cap) = max_new_batches {
             if executed >= cap {
-                return Ok(ShardStatus {
-                    total_batches,
-                    resumed_batches: done_batches,
-                    executed_batches: executed,
-                    assigned_runs: units.len(),
-                    complete: false,
-                });
+                return Ok(status(done_batches, executed, false));
             }
         }
         let wall = Instant::now();
         let before = MetricsSlice::capture();
-        let flatten = |kind: &str, i: usize, r: &RunResult| {
-            (ShardRun::from_result(kind, i, r), IncidentRecord::from_result(kind, i, r))
-        };
-        let results: Vec<(ShardRun, Option<IncidentRecord>)> = par_map(chunk, |unit| match *unit {
-            RunUnit::Golden(0) => flatten("golden", 0, &profile_run),
-            RunUnit::Golden(i) => {
-                let r = run_experiment(&run_cfg(cfg, &scenario, GOLDEN_SEED_BASE + i as u64, None));
-                flatten("golden", i, &r)
-            }
-            RunUnit::Injected(i) => {
-                let entry = &plan[i - injected_base];
-                let mut rc =
-                    run_cfg(cfg, &scenario, INJECTED_SEED_BASE + i as u64, Some(entry.spec));
-                rc.stratum = entry.stratum;
-                rc.weight = entry.weight;
-                let r = run_experiment(&rc);
-                flatten("injected", i, &r)
-            }
-            RunUnit::Training { .. } => {
-                panic!("training units are partition support only; campaigns never run them")
-            }
+        let results = exec.run_units(chunk, Some(&profile_run), |u, r| {
+            (
+                ShardRun::from_result(u.kind(), u.index(), &r),
+                IncidentRecord::from_result(u.kind(), u.index(), &r),
+            )
         });
         let after = MetricsSlice::capture();
         let mut batch_delta = after.delta(&before);
@@ -1480,23 +1235,13 @@ pub fn execute_shard_limited(
         // Sidecar payloads land before the batch marker: a kill between
         // the two re-runs the batch and truncates the orphaned payloads,
         // never the reverse (a committed batch missing its payloads).
-        let mut inc_out = String::new();
-        for (_, inc) in &results {
-            if let Some(rec) = inc {
-                inc_out.push_str(&rec.render_line(b));
-                inc_out.push('\n');
-                incident_count += 1;
-            }
-        }
-        if !inc_out.is_empty() {
-            inc_file.write_all(inc_out.as_bytes())?;
-            inc_file.flush()?;
-        }
-        let mut out = String::new();
-        for (r, _) in &results {
-            out.push_str(&r.render_line(b));
-            out.push('\n');
-        }
+        let incidents: Vec<String> = results
+            .iter()
+            .filter_map(|(_, inc)| Some(inc.as_ref()?.render_line(b) + "\n"))
+            .collect();
+        incident_count += incidents.len();
+        commit(&mut inc_file, &incidents.concat())?;
+        let mut out: String = results.iter().map(|(r, _)| r.render_line(b) + "\n").collect();
         out.push_str(&format!(
             "{{\"type\": \"shard_batch\", \"batch\": {}, \"wall_secs\": {}, \
              \"threads\": {}, {}}}\n",
@@ -1505,33 +1250,24 @@ pub fn execute_shard_limited(
             threads,
             cumulative.render_fields()
         ));
-        file.write_all(out.as_bytes())?;
-        file.flush()?;
+        commit(&mut file, &out)?;
         executed += 1;
     }
     let inc_footer = format!("{{\"type\": \"incidents_done\", \"incidents\": {incident_count}}}\n");
-    inc_file.write_all(inc_footer.as_bytes())?;
-    inc_file.flush()?;
+    commit(&mut inc_file, &inc_footer)?;
     let footer = format!(
         "{{\"type\": \"shard_done\", \"batches\": {}, \"runs\": {}}}\n",
         total_batches,
         units.len()
     );
-    file.write_all(footer.as_bytes())?;
-    file.flush()?;
-    Ok(ShardStatus {
-        total_batches,
-        resumed_batches: done_batches,
-        executed_batches: executed,
-        assigned_runs: units.len(),
-        complete: true,
-    })
+    commit(&mut file, &footer)?;
+    Ok(status(done_batches, executed, true))
 }
 
 /// Per-shard execution accounting surfaced by the merge (for the merged
 /// `BENCH_campaigns.json`; excluded from all bit-exactness guarantees
 /// except `runs`, `ticks`, and `deadline_misses`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardPerf {
     /// Which shard.
     pub shard_index: usize,
@@ -1617,70 +1353,54 @@ pub fn merge_artifacts(artifacts: &[ShardArtifact]) -> Result<Vec<MergedCampaign
     Ok(merged)
 }
 
-/// Cumulative per-stratum (runs, safety-critical) tallies of merged
-/// injected runs — the merge-side recomputation of what
-/// [`run_guided_campaign`](crate::guided::run_guided_campaign) tallies
-/// live. Requires every run's stratum to be set (validated upstream).
-fn guided_tallies(injected: &[ShardRun]) -> BTreeMap<u64, (u64, u64)> {
-    let mut counts: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for r in injected {
-        let code = r.stratum.expect("guided runs carry their stratum");
-        let slot = counts.entry(code).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += u64::from(is_safety_critical(r.incident.as_deref()));
-    }
-    counts
-}
-
 fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     let first = &group[0].manifest;
     let mismatch =
         |msg: String| ShardError::Mismatch(format!("campaign {:?}: {msg}", first.campaign));
-    let guided_shape = first.guided.as_ref().map(|g| (g.epochs, g.budget));
-    for a in group {
-        let m = &a.manifest;
-        let same = m.schema_version == first.schema_version
-            && m.plan_seed == first.plan_seed
-            && m.campaign == first.campaign
-            && m.scenario == first.scenario
-            && m.scenario_name == first.scenario_name
-            && m.target == first.target
-            && m.kind == first.kind
-            && m.mode == first.mode
-            && m.profile_source == first.profile_source
-            && m.shard_count == first.shard_count
-            && m.golden_runs == first.golden_runs
-            && m.injected_runs == first.injected_runs
-            && m.guided.as_ref().map(|g| (g.epochs, g.budget)) == guided_shape;
-        if !same {
-            return Err(mismatch(
-                "shard manifests share a fingerprint but disagree on campaign fields".to_string(),
-            ));
-        }
+    // Every manifest field but the per-shard and per-epoch ones must agree.
+    let campaign_fields = |m: &ShardManifest| ShardManifest {
+        shard_index: 0,
+        batch_size: 0,
+        assigned_runs: 0,
+        guided: m.guided.map(|g| GuidedManifest {
+            epoch: 0,
+            epoch_start: 0,
+            epoch_runs: 0,
+            prior_digest: 0,
+            ..g
+        }),
+        ..m.clone()
+    };
+    if group.iter().any(|a| campaign_fields(&a.manifest) != campaign_fields(first)) {
+        return Err(mismatch(
+            "shard manifests share a fingerprint but disagree on campaign fields".to_string(),
+        ));
     }
     let n = first.shard_count;
     let epochs_total = first.guided.as_ref().map(|g| g.epochs).unwrap_or(1);
-    let epoch_tag =
-        |e: usize| if first.guided.is_some() { format!("epoch {e}: ") } else { String::new() };
-    let mut seen: Vec<Vec<bool>> = vec![vec![false; n]; epochs_total];
-    let mut per_epoch: Vec<Option<GuidedManifest>> = vec![None; epochs_total];
+    let guided = first.guided.is_some();
+    let epoch_tag = |e: usize| if guided { format!("epoch {e}: ") } else { String::new() };
+    let epoch_of = |m: &ShardManifest| m.guided.as_ref().map(|g| g.epoch).unwrap_or(0);
+    // Which (epoch, shard) pairs are present, and each epoch's plan
+    // identity. Sparse on purpose: epoch and shard counts are read from
+    // the artifacts, so nothing may be sized by them.
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut per_epoch: BTreeMap<usize, GuidedManifest> = BTreeMap::new();
     for a in group {
         let m = &a.manifest;
-        let e = m.guided.as_ref().map(|g| g.epoch).unwrap_or(0);
+        let (e, i) = (epoch_of(m), m.shard_index);
         if e >= epochs_total {
             return Err(mismatch(format!("epoch {e} out of range ({epochs_total} epochs)")));
         }
-        let i = m.shard_index;
         if i >= n {
             return Err(mismatch(format!("shard index {i} out of range for {n} shards")));
         }
-        if seen[e][i] {
+        if !seen.insert((e, i)) {
             return Err(mismatch(format!(
                 "{}shard {i}/{n} supplied more than once (overlap)",
                 epoch_tag(e)
             )));
         }
-        seen[e][i] = true;
         if !a.complete {
             return Err(mismatch(format!(
                 "{}shard {i}/{n} is incomplete (no shard_done footer); resume it before \
@@ -1689,15 +1409,11 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
             )));
         }
         if let Some(g) = &m.guided {
-            match &per_epoch[e] {
-                None => per_epoch[e] = Some(*g),
-                Some(p) if p == g => {}
-                Some(_) => {
-                    return Err(mismatch(format!(
-                        "epoch {e} shard manifests disagree on the epoch plan \
-                         (epoch_start / epoch_runs / prior_digest)"
-                    )))
-                }
+            if per_epoch.entry(e).or_insert(*g) != g {
+                return Err(mismatch(format!(
+                    "epoch {e} shard manifests disagree on the epoch plan \
+                     (epoch_start / epoch_runs / prior_digest)"
+                )));
             }
         }
     }
@@ -1705,16 +1421,13 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     // (the driving loop merges after every epoch to produce the next
     // prior); any covered epoch must be fully covered, and no epoch may
     // be covered beyond a gap.
+    let first_missing = |e: usize| (0..n).find(|i| !seen.contains(&(e, *i)));
     let mut done = 0usize;
-    while done < epochs_total && seen[done].iter().all(|&s| s) {
+    while done < epochs_total && first_missing(done).is_none() {
         done += 1;
     }
-    for (e, shard_seen) in seen.iter().enumerate().skip(done) {
-        if !shard_seen.iter().any(|&s| s) {
-            continue;
-        }
-        if e == done {
-            let missing = shard_seen.iter().position(|s| !s).expect("epoch not fully covered");
+    if let Some(&(e, _)) = seen.range((done, 0)..).next() {
+        if let (true, Some(missing)) = (e == done, first_missing(e)) {
             return Err(mismatch(format!("{}shard {missing}/{n} is missing", epoch_tag(e))));
         }
         return Err(mismatch(format!(
@@ -1722,67 +1435,58 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
              as a contiguous prefix)"
         )));
     }
-    if done == 0 {
-        let missing = seen[0].iter().position(|s| !s).expect("group is non-empty");
-        return Err(mismatch(format!("{}shard {missing}/{n} is missing", epoch_tag(0))));
-    }
 
-    // Validate the epoch chain and derive the merged injected length.
-    let mut merged_guided: Option<MergedGuided> = None;
-    let mut injected_len = first.injected_runs;
-    if first.guided.is_some() {
-        let pe: Vec<GuidedManifest> =
-            (0..done).map(|e| per_epoch[e].expect("covered epochs carry manifests")).collect();
-        if pe[0].budget != first.injected_runs {
+    // Validate the guided epoch chain (`pe` is empty for uniform merges)
+    // and derive the merged injected length.
+    let pe: Vec<GuidedManifest> = per_epoch.into_values().collect();
+    let mut start = 0usize;
+    for (e, g) in pe.iter().enumerate() {
+        if g.budget != first.injected_runs {
             return Err(mismatch(format!(
                 "guided budget {} disagrees with the campaign's injected_runs {}",
-                pe[0].budget, first.injected_runs
+                g.budget, first.injected_runs
             )));
         }
-        let mut start = 0usize;
-        for (e, g) in pe.iter().enumerate() {
-            if g.epoch_start != start {
-                return Err(mismatch(format!(
-                    "epoch {e} starts at injected index {} but prior epochs account \
-                     for {start} runs",
-                    g.epoch_start
-                )));
-            }
-            start += g.epoch_runs;
-        }
-        if start > first.injected_runs || (done == epochs_total && start != first.injected_runs) {
+        if g.epoch_start != start {
             return Err(mismatch(format!(
-                "epochs sum to {start} injected runs but the campaign budget is {}",
-                first.injected_runs
+                "epoch {e} starts at injected index {} but prior epochs account for {start} runs",
+                g.epoch_start
             )));
         }
-        injected_len = start;
-        merged_guided = Some(MergedGuided {
-            epochs: epochs_total,
-            epochs_done: done,
-            budget: pe[0].budget,
-            epoch_starts: pe.iter().map(|g| g.epoch_start).collect(),
-            epoch_runs: pe.iter().map(|g| g.epoch_runs).collect(),
-        });
+        start = start.saturating_add(g.epoch_runs);
     }
+    if guided
+        && (start > first.injected_runs || (done == epochs_total && start != first.injected_runs))
+    {
+        return Err(mismatch(format!(
+            "epochs sum to {start} injected runs but the campaign budget is {}",
+            first.injected_runs
+        )));
+    }
+    let injected_len = if guided { start } else { first.injected_runs };
+    let merged_guided = guided.then(|| MergedGuided {
+        epochs: epochs_total,
+        epochs_done: done,
+        budget: first.injected_runs,
+        epoch_starts: pe.iter().map(|g| g.epoch_start).collect(),
+        epoch_runs: pe.iter().map(|g| g.epoch_runs).collect(),
+    });
 
-    let mut golden: Vec<Option<ShardRun>> = vec![None; first.golden_runs];
-    let mut injected: Vec<Option<ShardRun>> = vec![None; injected_len];
+    // Keyed by unit, so nothing is sized by the declared run counts.
+    let mut runs: BTreeMap<RunUnit, ShardRun> = BTreeMap::new();
     for a in group {
         let am = &a.manifest;
-        let a_epoch = am.guided.as_ref().map(|g| g.epoch).unwrap_or(0);
-        let a_range = am.guided.as_ref().map(|g| (g.epoch_start, g.epoch_start + g.epoch_runs));
+        let a_epoch = epoch_of(am);
+        let a_range =
+            am.guided.as_ref().map(|g| (g.epoch_start, g.epoch_start.saturating_add(g.epoch_runs)));
         for r in &a.runs {
-            let unit = match r.kind.as_str() {
-                "golden" => RunUnit::Golden(r.index),
-                "injected" => RunUnit::Injected(r.index),
-                other => return Err(mismatch(format!("unknown run kind {other:?}"))),
-            };
+            let unit = RunUnit::parse(&r.kind, r.index)
+                .ok_or_else(|| mismatch(format!("unknown run kind {:?}", r.kind)))?;
             let home = unit_shard(first.plan_seed, unit, n);
-            if home != a.manifest.shard_index {
+            if home != am.shard_index {
                 return Err(mismatch(format!(
                     "{} run {} belongs to shard {home} but appears in shard {}",
-                    r.kind, r.index, a.manifest.shard_index
+                    r.kind, r.index, am.shard_index
                 )));
             }
             match (unit, a_epoch, a_range) {
@@ -1799,103 +1503,91 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
                 }
                 _ => {}
             }
-            // Guided injected runs must carry a positive finite weight
-            // and a stratum; everything else must carry neither — a
-            // weight on a uniform or golden run means the artifact was
-            // cut from a different planner than its manifest claims.
-            match (&first.guided, r.kind.as_str()) {
-                (Some(_), "injected") => {
-                    if r.stratum.is_none() {
-                        return Err(mismatch(format!(
-                            "guided injected run {} carries no stratum",
-                            r.index
-                        )));
-                    }
-                    if !r.weight.is_some_and(|w| w.is_finite() && w > 0.0) {
-                        return Err(mismatch(format!(
-                            "guided injected run {} carries no positive finite weight",
-                            r.index
-                        )));
-                    }
-                }
-                _ => {
-                    if r.stratum.is_some() || r.weight.is_some() {
-                        return Err(mismatch(format!(
-                            "{} run {} carries guided fields outside a guided campaign",
-                            r.kind, r.index
-                        )));
-                    }
-                }
-            }
-            let (slot, base) = match unit {
-                RunUnit::Golden(i) => (golden.get_mut(i), GOLDEN_SEED_BASE),
-                RunUnit::Injected(i) => (injected.get_mut(i), INJECTED_SEED_BASE),
-                RunUnit::Training { .. } => unreachable!("campaign runs only"),
+            // Guided injected runs carry a stratum and a positive finite
+            // weight, and no other run carries either: a weight on a
+            // uniform or golden run means the artifact was cut from a
+            // different planner than its manifest claims.
+            let guided_run = guided && matches!(unit, RunUnit::Injected(_));
+            let valid = if guided_run {
+                r.stratum.is_some() && r.weight.is_some_and(|w| w.is_finite() && w > 0.0)
+            } else {
+                r.stratum.is_none() && r.weight.is_none()
             };
-            let Some(slot) = slot else {
+            if !valid {
+                let rule = if guided_run {
+                    "guided injected runs need a stratum and a positive finite weight"
+                } else {
+                    "only guided injected runs carry guided fields"
+                };
+                return Err(mismatch(format!(
+                    "{} run {} has stratum {:?} and weight {:?}, but {rule}",
+                    r.kind, r.index, r.stratum, r.weight
+                )));
+            }
+            let declared = match unit {
+                RunUnit::Golden(_) => first.golden_runs,
+                RunUnit::Injected(_) => injected_len,
+            };
+            if unit.index() >= declared {
                 return Err(mismatch(format!(
                     "{} run {} exceeds the campaign's declared run count",
                     r.kind, r.index
                 )));
-            };
-            if r.seed != base + r.index as u64 {
+            }
+            if r.seed != unit.seed() {
                 return Err(mismatch(format!(
                     "{} run {} carries seed {} (engine law says {})",
                     r.kind,
                     r.index,
                     r.seed,
-                    base + r.index as u64
+                    unit.seed()
                 )));
             }
-            if slot.is_some() {
+            if runs.insert(unit, r.clone()).is_some() {
                 return Err(mismatch(format!(
                     "{} run {} appears twice (overlapping shards)",
                     r.kind, r.index
                 )));
             }
-            *slot = Some(r.clone());
         }
     }
-    let fill = |runs: Vec<Option<ShardRun>>, kind: &str| -> Result<Vec<ShardRun>, ShardError> {
-        runs.into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.ok_or_else(|| mismatch(format!("{kind} run {i} is missing (coverage gap)")))
-            })
-            .collect()
-    };
-    let golden = fill(golden, "golden")?;
-    let injected = fill(injected, "injected")?;
+    let mut declared =
+        (0..first.golden_runs).map(RunUnit::Golden).chain((0..injected_len).map(RunUnit::Injected));
+    if let Some(u) = declared.find(|u| !runs.contains_key(u)) {
+        let (kind, i) = (u.kind(), u.index());
+        return Err(mismatch(format!("{kind} run {i} is missing (coverage gap)")));
+    }
+    let mut in_order = runs.into_values();
+    let golden: Vec<ShardRun> = in_order.by_ref().take(first.golden_runs).collect();
+    let injected: Vec<ShardRun> = in_order.collect();
 
     // Close the guided epoch protocol against the merged evidence: each
-    // epoch's recorded prior digest must equal the digest of the merged
-    // earlier epochs (the allocation provably consumed the true prior),
-    // and each epoch's weights must sum to its run count (the weight law
+    // guided epoch's recorded prior digest must equal the digest of the
+    // merged earlier epochs (the allocation provably consumed the true
+    // prior), and its weights must sum to its run count (the weight law
     // `Σ_s n_s · (N_e p_s / n_s) = N_e` holds exactly up to rounding).
-    if let Some(mg) = &merged_guided {
-        for e in 0..mg.epochs_done {
-            let g = per_epoch[e].expect("covered epochs carry manifests");
-            let expect = if e == 0 {
-                0
-            } else {
-                let counts = guided_tallies(&injected[..mg.epoch_starts[e]]);
-                EpochSummary::from_counts(e, &counts).digest()
-            };
-            if g.prior_digest != expect {
-                return Err(mismatch(format!(
-                    "epoch {e} was planned against prior digest {:016x} but the merged \
-                     epochs 0..{e} hash to {expect:016x}",
-                    g.prior_digest
-                )));
+    for (e, g) in pe.iter().enumerate() {
+        let expect = match e {
+            0 => 0,
+            _ => {
+                let prior = stratum_tallies(injected[..g.epoch_start].iter().map(RunParts::from));
+                EpochSummary::from_counts(e, &prior).digest()
             }
-            let (lo, hi) = (mg.epoch_starts[e], mg.epoch_starts[e] + mg.epoch_runs[e]);
-            let sum: f64 = injected[lo..hi].iter().map(|r| r.weight.unwrap_or(0.0)).sum();
-            let n_e = mg.epoch_runs[e] as f64;
-            if (sum - n_e).abs() > 1e-6 * n_e.max(1.0) {
-                return Err(mismatch(format!(
-                    "epoch {e} weights sum to {sum} (the weight law says {n_e})"
-                )));
-            }
+        };
+        if g.prior_digest != expect {
+            return Err(mismatch(format!(
+                "epoch {e} was planned against prior digest {:016x} but the merged \
+                 epochs 0..{e} hash to {expect:016x}",
+                g.prior_digest
+            )));
+        }
+        let epoch_runs = &injected[g.epoch_start..g.epoch_start + g.epoch_runs];
+        let sum: f64 = epoch_runs.iter().map(|r| r.weight.unwrap_or(0.0)).sum();
+        let n_e = g.epoch_runs as f64;
+        if (sum - n_e).abs() > 1e-6 * n_e.max(1.0) {
+            return Err(mismatch(format!(
+                "epoch {e} weights sum to {sum} (the weight law says {n_e})"
+            )));
         }
     }
 
@@ -1903,9 +1595,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     let baseline = mean_trajectory(&trajs);
 
     let mut ordered: Vec<&&ShardArtifact> = group.iter().collect();
-    ordered.sort_by_key(|a| {
-        (a.manifest.guided.as_ref().map(|g| g.epoch).unwrap_or(0), a.manifest.shard_index)
-    });
+    ordered.sort_by_key(|a| (epoch_of(&a.manifest), a.manifest.shard_index));
     let mut metrics = MetricsSlice::default();
     let mut deadline = DeadlineStats::default();
     let mut perf: BTreeMap<usize, ShardPerf> = BTreeMap::new();
@@ -1917,32 +1607,24 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
             worst_ns: slice.gauges.get("deadline.worst_ns").copied().unwrap_or(0.0) as u64,
         });
         metrics.add(&slice);
-        let entry = perf.entry(a.manifest.shard_index).or_insert(ShardPerf {
-            shard_index: a.manifest.shard_index,
-            wall_secs: 0.0,
-            threads: 0,
-            runs: 0,
-            ticks: 0,
-            deadline_misses: 0,
-        });
+        let shard_index = a.manifest.shard_index;
+        let entry =
+            perf.entry(shard_index).or_insert(ShardPerf { shard_index, ..Default::default() });
         entry.wall_secs += a.batches.iter().map(|b| b.wall_secs).sum::<f64>();
         if let Some(b) = a.batches.last() {
             entry.threads = b.threads;
         }
         entry.runs += a.runs.len();
-        entry.ticks += a.runs.iter().map(|r| r.ticks).sum::<u64>();
-        entry.deadline_misses += a.runs.iter().map(|r| r.deadline_misses).sum::<u64>();
+        for r in &a.runs {
+            entry.ticks = entry.ticks.saturating_add(r.ticks);
+            entry.deadline_misses = entry.deadline_misses.saturating_add(r.deadline_misses);
+        }
     }
 
+    let pilot_shard0 =
+        group.iter().find(|a| a.manifest.shard_index == 0 && epoch_of(&a.manifest) == 0);
     Ok(MergedCampaign {
-        manifest: group
-            .iter()
-            .find(|a| {
-                a.manifest.shard_index == 0
-                    && a.manifest.guided.as_ref().map(|g| g.epoch).unwrap_or(0) == 0
-            })
-            .map(|a| a.manifest.clone())
-            .unwrap_or_else(|| first.clone()),
+        manifest: pilot_shard0.expect("epoch 0 is fully covered").manifest.clone(),
         golden,
         injected,
         baseline,
@@ -1960,21 +1642,32 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
 /// `summarize` it has *no* metric side effects: merged outcome counters
 /// come from the shard slices, not from re-tallying.
 pub fn summarize_merged(m: &MergedCampaign, td: f64) -> TableRow {
-    let mut row = TableRow { total: m.injected.len(), ..Default::default() };
-    for r in &m.injected {
-        if r.fault_activated {
-            row.active += 1;
-        }
-        let class =
-            classify_parts(&r.outcome, r.collision_time.is_some(), &r.trajectory, &m.baseline, td);
-        match class {
-            OutcomeClass::HangCrash => row.hang_crash += 1,
-            OutcomeClass::Accident => row.accidents += 1,
-            OutcomeClass::TrajViolation => row.traj_violations += 1,
-            OutcomeClass::Benign => {}
+    TableRow::from(tally(m.injected.iter().map(RunParts::from), &m.baseline, td, false))
+}
+
+impl<'a> From<&'a ShardRun> for RunParts<'a> {
+    fn from(r: &'a ShardRun) -> Self {
+        RunParts {
+            outcome: &r.outcome,
+            collision: r.collision_time.is_some(),
+            activated: r.fault_activated,
+            stratum: r.stratum,
+            weight: r.weight,
+            incident: r.incident.as_deref(),
+            trajectory: &r.trajectory,
         }
     }
-    row
+}
+
+/// The guided shape of a merged campaign, or the refusal to compute
+/// `what` over a uniform merge.
+fn guided_shape<'a>(m: &'a MergedCampaign, what: &str) -> Result<&'a MergedGuided, ShardError> {
+    m.guided.as_ref().ok_or_else(|| {
+        ShardError::Mismatch(format!(
+            "campaign {:?}: {what} requested for a uniform (non-guided) merge",
+            m.manifest.campaign
+        ))
+    })
 }
 
 /// Horvitz–Thompson-weighted Table-I row for a merged *guided*
@@ -1985,36 +1678,14 @@ pub fn summarize_merged(m: &MergedCampaign, td: f64) -> TableRow {
 /// Requires all epochs merged (`epochs_done == epochs`) — a weighted
 /// table over a prefix would silently estimate a different population.
 pub fn summarize_weighted(m: &MergedCampaign, td: f64) -> Result<WeightedRow, ShardError> {
-    let Some(g) = &m.guided else {
-        return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: weighted summary requested for a uniform (non-guided) merge",
-            m.manifest.campaign
-        )));
-    };
+    let g = guided_shape(m, "weighted summary")?;
     if g.epochs_done != g.epochs {
         return Err(ShardError::Mismatch(format!(
             "campaign {:?}: weighted summary needs all {} epochs merged ({} done)",
             m.manifest.campaign, g.epochs, g.epochs_done
         )));
     }
-    let mut row = WeightedRow { budget: m.injected.len(), ..Default::default() };
-    for r in &m.injected {
-        let w = r.weight.expect("guided merges validate weights");
-        row.runs += 1;
-        if r.fault_activated {
-            row.active += w;
-        }
-        let class =
-            classify_parts(&r.outcome, r.collision_time.is_some(), &r.trajectory, &m.baseline, td);
-        match class {
-            OutcomeClass::HangCrash => row.hang_crash += w,
-            OutcomeClass::Accident => row.accidents += w,
-            OutcomeClass::TrajViolation => row.traj_violations += w,
-            OutcomeClass::Benign => {}
-        }
-    }
-    row.ess = ess(m.injected.iter().map(|r| r.weight.expect("validated")));
-    Ok(row)
+    Ok(tally(m.injected.iter().map(RunParts::from), &m.baseline, td, true))
 }
 
 /// Cumulative per-stratum epoch summary of a merged guided prefix —
@@ -2022,13 +1693,9 @@ pub fn summarize_weighted(m: &MergedCampaign, td: f64) -> Result<WeightedRow, Sh
 /// any contiguous prefix (that is the point: merge epochs `0..e`, feed
 /// the summary to epoch `e`'s planner).
 pub fn guided_epoch_summary(m: &MergedCampaign) -> Result<EpochSummary, ShardError> {
-    let Some(g) = &m.guided else {
-        return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: epoch summary requested for a uniform (non-guided) merge",
-            m.manifest.campaign
-        )));
-    };
-    Ok(EpochSummary::from_counts(g.epochs_done, &guided_tallies(&m.injected)))
+    let g = guided_shape(m, "epoch summary")?;
+    let counts = stratum_tallies(m.injected.iter().map(RunParts::from));
+    Ok(EpochSummary::from_counts(g.epochs_done, &counts))
 }
 
 /// Validate a merged campaign's incident sidecars and assemble its
@@ -2048,185 +1715,97 @@ pub fn collect_incidents(
 ) -> Result<Vec<IncidentRecord>, ShardError> {
     let m = &merged.manifest;
     let n = m.shard_count;
-    let mut seen = vec![false; n];
+    let mismatch = |msg: String| ShardError::Mismatch(format!("campaign {:?}: {msg}", m.campaign));
+    let mut seen = BTreeSet::new();
     for a in sidecars {
         let im = &a.manifest;
         if im.fingerprint != m.fingerprint || im.plan_seed != m.plan_seed {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar carries fingerprint {:016x} \
-                 (campaign is {:016x})",
-                m.campaign, im.fingerprint, m.fingerprint
+            return Err(mismatch(format!(
+                "incident sidecar carries fingerprint {:016x} (campaign is {:016x})",
+                im.fingerprint, m.fingerprint
             )));
         }
         if im.shard_count != n || im.shard_index >= n {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar claims shard {}/{} (campaign has {n})",
-                m.campaign, im.shard_index, im.shard_count
+            return Err(mismatch(format!(
+                "incident sidecar claims shard {}/{} (campaign has {n})",
+                im.shard_index, im.shard_count
             )));
         }
-        if seen[im.shard_index] {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar for shard {} supplied more than once",
-                m.campaign, im.shard_index
+        if !seen.insert(im.shard_index) {
+            return Err(mismatch(format!(
+                "incident sidecar for shard {} supplied more than once",
+                im.shard_index
             )));
         }
-        seen[im.shard_index] = true;
         if !a.complete {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar for shard {} is incomplete \
-                 (no incidents_done footer)",
-                m.campaign, im.shard_index
+            return Err(mismatch(format!(
+                "incident sidecar for shard {} is incomplete (no incidents_done footer)",
+                im.shard_index
             )));
         }
     }
-    if let Some(missing) = seen.iter().position(|s| !s) {
-        return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: incident sidecar for shard {missing}/{n} is missing",
-            m.campaign
-        )));
+    if let Some(missing) = (0..n).find(|i| !seen.contains(i)) {
+        return Err(mismatch(format!("incident sidecar for shard {missing}/{n} is missing")));
     }
 
-    // Expected payloads, from the merged run lines. Rank 0 = golden,
-    // 1 = injected, so the BTreeMap key order is engine order.
-    let mut expected: BTreeMap<(u8, usize), &str> = BTreeMap::new();
-    for (rank, runs) in [(0u8, &merged.golden), (1u8, &merged.injected)] {
-        for r in runs.iter() {
-            if let Some(label) = &r.incident {
-                expected.insert((rank, r.index), label.as_str());
-            }
-        }
-    }
-    let mut out: BTreeMap<(u8, usize), IncidentRecord> = BTreeMap::new();
+    // Expected payloads, from the merged run lines, keyed in engine order.
+    let mut expected: BTreeMap<RunUnit, &str> = (merged.golden.iter().chain(&merged.injected))
+        .filter_map(|r| Some((RunUnit::parse(&r.kind, r.index)?, r.incident.as_deref()?)))
+        .collect();
+    let mut out: BTreeMap<RunUnit, IncidentRecord> = BTreeMap::new();
     for a in sidecars {
         for (_, rec) in &a.records {
-            let (rank, unit, base) = match rec.kind.as_str() {
-                "golden" => (0u8, RunUnit::Golden(rec.index), GOLDEN_SEED_BASE),
-                "injected" => (1u8, RunUnit::Injected(rec.index), INJECTED_SEED_BASE),
-                other => {
-                    return Err(ShardError::Mismatch(format!(
-                        "campaign {:?}: unknown incident run kind {other:?}",
-                        m.campaign
-                    )))
-                }
-            };
+            let unit = RunUnit::parse(&rec.kind, rec.index)
+                .ok_or_else(|| mismatch(format!("unknown incident run kind {:?}", rec.kind)))?;
+            let (kind, index) = (&rec.kind, rec.index);
             let home = unit_shard(m.plan_seed, unit, n);
             if home != a.manifest.shard_index {
-                return Err(ShardError::Mismatch(format!(
-                    "campaign {:?}: incident of {} run {} belongs to shard {home} but \
-                     appears in shard {}",
-                    m.campaign, rec.kind, rec.index, a.manifest.shard_index
+                return Err(mismatch(format!(
+                    "incident of {kind} run {index} belongs to shard {home} but appears in \
+                     shard {}",
+                    a.manifest.shard_index
                 )));
             }
-            if rec.seed != base + rec.index as u64 {
-                return Err(ShardError::Mismatch(format!(
-                    "campaign {:?}: incident of {} run {} carries seed {} \
-                     (engine law says {})",
-                    m.campaign,
-                    rec.kind,
-                    rec.index,
+            if rec.seed != unit.seed() {
+                return Err(mismatch(format!(
+                    "incident of {kind} run {index} carries seed {} (engine law says {})",
                     rec.seed,
-                    base + rec.index as u64
+                    unit.seed()
                 )));
             }
-            match expected.remove(&(rank, rec.index)) {
+            match expected.remove(&unit) {
                 Some(label) if label == rec.incident => {}
                 Some(label) => {
-                    return Err(ShardError::Mismatch(format!(
-                        "campaign {:?}: {} run {} is a {label:?} incident on its run line \
-                         but {:?} in the sidecar",
-                        m.campaign, rec.kind, rec.index, rec.incident
+                    return Err(mismatch(format!(
+                        "{kind} run {index} is a {label:?} incident on its run line but {:?} \
+                         in the sidecar",
+                        rec.incident
                     )))
                 }
                 None => {
-                    return Err(ShardError::Mismatch(format!(
-                        "campaign {:?}: sidecar payload for {} run {} has no matching \
-                         incident on its run line (duplicate or spurious)",
-                        m.campaign, rec.kind, rec.index
+                    return Err(mismatch(format!(
+                        "sidecar payload for {kind} run {index} has no matching incident on \
+                         its run line (duplicate or spurious)"
                     )))
                 }
             }
-            out.insert((rank, rec.index), rec.clone());
+            out.insert(unit, rec.clone());
         }
     }
-    if let Some(((rank, index), label)) = expected.into_iter().next() {
-        let kind = if rank == 0 { "golden" } else { "injected" };
-        return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: {kind} run {index} is a {label:?} incident but no sidecar \
-             carries its payload",
-            m.campaign
+    if let Some((unit, label)) = expected.into_iter().next() {
+        return Err(mismatch(format!(
+            "{} run {} is a {label:?} incident but no sidecar carries its payload",
+            unit.kind(),
+            unit.index()
         )));
     }
     Ok(out.into_values().collect())
 }
 
-// -- line-level parse helpers -----------------------------------------------
-
-fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing member {key:?}"))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    req(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("member {key:?} must be a string"))
-}
-
-fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
-    let n = req(v, key)?.as_f64().ok_or_else(|| format!("member {key:?} must be a number"))?;
-    if n.is_nan() || n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("member {key:?} must be a non-negative integer"));
-    }
-    Ok(n as usize)
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    req(v, key)?.as_bool().ok_or_else(|| format!("member {key:?} must be a boolean"))
-}
-
-fn req_u64_str(v: &Value, key: &str) -> Result<u64, String> {
-    json::parse_u64_str(req(v, key)?).map_err(|e| format!("member {key:?}: {e}"))
-}
-
-fn req_f64_bits(v: &Value, key: &str) -> Result<f64, String> {
-    json::parse_f64_bits(req(v, key)?).map_err(|e| format!("member {key:?}: {e}"))
-}
-
-fn opt_str_member(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        other => other
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| format!("member {key:?} must be a string or null")),
-    }
-}
-
-fn opt_f64_bits_member(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        other => json::parse_f64_bits(other).map(Some).map_err(|e| format!("member {key:?}: {e}")),
-    }
-}
-
-fn req_hex64(v: &Value, key: &str) -> Result<u64, String> {
-    let s = req_str(v, key)?;
-    if s.len() != 16 {
-        return Err(format!("member {key:?} must be 16 hex digits"));
-    }
-    u64::from_str_radix(&s, 16).map_err(|e| format!("member {key:?}: {e}"))
-}
-
-fn opt_hex64_member(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        _ => req_hex64(v, key).map(Some),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{GOLDEN_SEED_BASE, INJECTED_SEED_BASE};
     use diverseav::AgentMode;
     use diverseav_fabric::Profile;
     use diverseav_simworld::ScenarioKind;
@@ -2253,20 +1832,11 @@ mod tests {
             (0..3).map(|k| units.iter().filter(|u| unit_shard(42, **u, 3) == k).count()).sum();
         assert_eq!(total, units.len(), "shards partition the unit set");
         assert_eq!(unit_shard(42, RunUnit::Golden(1), 1), 0, "1-shard runs own everything");
-        assert_eq!(training_units(2).len(), 6, "3 routes x reps");
     }
 
     #[test]
     fn unit_codes_keep_kinds_disjoint() {
         assert_ne!(unit_code(RunUnit::Golden(5)), unit_code(RunUnit::Injected(5)));
-        assert_ne!(
-            unit_code(RunUnit::Injected(3)),
-            unit_code(RunUnit::Training { route: 0, rep: 3 })
-        );
-        assert_ne!(
-            unit_code(RunUnit::Training { route: 1, rep: 0 }),
-            unit_code(RunUnit::Training { route: 0, rep: 1 })
-        );
     }
 
     #[test]
@@ -2421,10 +1991,10 @@ mod tests {
             assigned_runs: assigned,
             guided: None,
         };
-        let run = |kind: &str, index: usize, base: u64| ShardRun {
+        let run = |kind: &str, index: usize, seed: u64| ShardRun {
             kind: kind.to_string(),
             index,
-            seed: base + index as u64,
+            seed,
             outcome: "completed".to_string(),
             end_time: 2.0,
             collision_time: None,
@@ -2443,12 +2013,7 @@ mod tests {
         };
         let mut shards: Vec<Vec<ShardRun>> = vec![Vec::new(); n];
         for u in campaign_units(golden_runs, injected_runs) {
-            let (kind, index, base) = match u {
-                RunUnit::Golden(i) => ("golden", i, GOLDEN_SEED_BASE),
-                RunUnit::Injected(i) => ("injected", i, INJECTED_SEED_BASE),
-                RunUnit::Training { .. } => unreachable!(),
-            };
-            shards[unit_shard(plan_seed, u, n)].push(run(kind, index, base));
+            shards[unit_shard(plan_seed, u, n)].push(run(u.kind(), u.index(), u.seed()));
         }
         shards
             .into_iter()

@@ -195,22 +195,13 @@ pub fn render_record(r: &TickRecord) -> String {
     )
 }
 
-fn member<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing member {key:?}"))
-}
-
 /// Parse a value rendered by [`render_record`], bit-exactly.
 ///
 /// # Errors
 ///
 /// Any missing member, wrong encoding, or out-of-range flag byte.
 pub fn parse_record(v: &Value) -> Result<TickRecord, String> {
-    let tick = json::parse_u64_str(member(v, "tick")?)?;
-    let flags_f = member(v, "flags")?.as_f64().ok_or("member \"flags\" must be a number")?;
-    if flags_f.fract() != 0.0 || !(0.0..=255.0).contains(&flags_f) {
-        return Err(format!("member \"flags\" out of byte range: {flags_f}"));
-    }
-    let phases = member(v, "phase_ns")?.as_arr().ok_or("member \"phase_ns\" must be an array")?;
+    let phases = json::req(v, "phase_ns", json::array)?;
     if phases.len() != 4 {
         return Err(format!("member \"phase_ns\" must hold 4 phases, got {}", phases.len()));
     }
@@ -218,22 +209,22 @@ pub fn parse_record(v: &Value) -> Result<TickRecord, String> {
     for (slot, p) in phase_ns.iter_mut().zip(phases) {
         *slot = json::parse_u64_str(p)?;
     }
-    let margin_s = member(v, "deadline_margin_ns")?
-        .as_str()
-        .ok_or("member \"deadline_margin_ns\" must be a decimal string")?;
-    let deadline_margin_ns =
-        margin_s.parse::<i64>().map_err(|e| format!("bad i64 string {margin_s:?}: {e}"))?;
+    let deadline_margin_ns = json::req(v, "deadline_margin_ns", |m| {
+        let s = m.as_str().ok_or("expected a decimal string")?;
+        s.parse::<i64>().map_err(|e| format!("bad i64 string {s:?}: {e}"))
+    })?;
+    let bits = |key: &str| json::req(v, key, json::parse_f64_bits);
     Ok(TickRecord {
-        tick,
-        flags: flags_f as u8,
-        score: json::parse_f64_bits(member(v, "score")?)?,
-        slope: json::parse_f64_bits(member(v, "slope")?)?,
-        margin: json::parse_f64_bits(member(v, "margin")?)?,
+        tick: json::req(v, "tick", json::parse_u64_str)?,
+        flags: json::req(v, "flags", json::uint::<u8>)?,
+        score: bits("score")?,
+        slope: bits("slope")?,
+        margin: bits("margin")?,
         phase_ns,
         deadline_margin_ns,
-        d_throttle: json::parse_f64_bits(member(v, "d_throttle")?)?,
-        d_brake: json::parse_f64_bits(member(v, "d_brake")?)?,
-        d_steer: json::parse_f64_bits(member(v, "d_steer")?)?,
+        d_throttle: bits("d_throttle")?,
+        d_brake: bits("d_brake")?,
+        d_steer: bits("d_steer")?,
     })
 }
 

@@ -131,7 +131,7 @@ pub struct HistSnapshot {
 impl HistSnapshot {
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.buckets.iter().fold(0, |n, &c| n.saturating_add(c))
     }
 
     /// Mean recorded value (0.0 when empty).
@@ -188,9 +188,9 @@ impl HistSnapshot {
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (mine, &theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
+            *mine = mine.saturating_add(theirs);
         }
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
 
@@ -213,7 +213,7 @@ impl HistSnapshot {
         for &(i, c) in pairs {
             let slot =
                 buckets.get_mut(i).ok_or_else(|| format!("bucket index {i} >= {N_BUCKETS}"))?;
-            *slot += c;
+            *slot = slot.saturating_add(c);
         }
         Ok(HistSnapshot { buckets, sum, max })
     }

@@ -56,7 +56,11 @@ pub fn opt_f64_bits(v: Option<f64>) -> String {
 
 /// Parse a value rendered by [`f64_bits`].
 pub fn parse_f64_bits(v: &Value) -> Result<f64, String> {
-    let s = v.as_str().ok_or("expected an f64 bit-pattern string")?;
+    f64_from_hex(v.as_str().ok_or("expected an f64 bit-pattern string")?)
+}
+
+/// Parse the 16 hex digits of an `f64` bit pattern (unquoted).
+pub fn f64_from_hex(s: &str) -> Result<f64, String> {
     if s.len() != 16 {
         return Err(format!("bad f64 bit pattern {s:?}: want 16 hex digits"));
     }
@@ -75,6 +79,85 @@ pub fn u64_str(v: u64) -> String {
 pub fn parse_u64_str(v: &Value) -> Result<u64, String> {
     let s = v.as_str().ok_or("expected a u64 decimal string")?;
     s.parse::<u64>().map_err(|e| format!("bad u64 string {s:?}: {e}"))
+}
+
+/// Largest integer a JSON number (an `f64`) holds exactly: 2^53.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Decode a plain JSON number holding a non-negative integer that fits
+/// `T`. Fractions, negatives, and numbers past 2^53 (which an `f64`
+/// cannot hold exactly) are refused rather than truncated.
+pub fn uint<T: TryFrom<u64>>(v: &Value) -> Result<T, String> {
+    let n = v.as_f64().ok_or("expected a number")?;
+    if !(0.0..=MAX_EXACT_INT).contains(&n) || n.fract() != 0.0 {
+        return Err(format!("{n} is not a non-negative integer below 2^53"));
+    }
+    T::try_from(n as u64).map_err(|_| format!("{n} is out of range"))
+}
+
+/// Decode a string.
+pub fn string(v: &Value) -> Result<String, String> {
+    v.as_str().map(str::to_string).ok_or_else(|| "expected a string".to_string())
+}
+
+/// Decode a boolean.
+pub fn boolean(v: &Value) -> Result<bool, String> {
+    v.as_bool().ok_or_else(|| "expected a boolean".to_string())
+}
+
+/// Decode an array's elements.
+pub fn array(v: &Value) -> Result<&[Value], String> {
+    v.as_arr().ok_or_else(|| "expected an array".to_string())
+}
+
+/// Decode an object's members.
+pub fn object(v: &Value) -> Result<&[(String, Value)], String> {
+    v.as_obj().ok_or_else(|| "expected an object".to_string())
+}
+
+/// Decode a `u64` rendered as a string of 1 to 16 hex digits (codes,
+/// fingerprints, digests).
+pub fn hex64(v: &Value) -> Result<u64, String> {
+    let s = v.as_str().ok_or("expected a hex string")?;
+    if s.is_empty() || s.len() > 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(format!("bad hex string {s:?}: want 1 to 16 hex digits"));
+    }
+    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex string {s:?}: {e}"))
+}
+
+/// `Ok` when `v` is a line of type `ty` (its `"type"` member).
+pub fn expect_type(v: &Value, ty: &str) -> Result<(), String> {
+    match v.get("type").and_then(Value::as_str) {
+        Some(t) if t == ty => Ok(()),
+        other => Err(format!("not a {ty:?} line (type {:?})", other.unwrap_or_default())),
+    }
+}
+
+/// Member `key` of an object, or an error naming the missing member.
+pub fn member<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
+    v.get(key).ok_or_else(|| format!("missing member {key:?}"))
+}
+
+/// Member `key` decoded by `decode` ([`uint`], [`string`], [`hex64`],
+/// [`parse_f64_bits`], ...); errors name the member.
+pub fn req<'a, T>(
+    v: &'a Value,
+    key: &str,
+    decode: impl FnOnce(&'a Value) -> Result<T, String>,
+) -> Result<T, String> {
+    decode(member(v, key)?).map_err(|e| format!("member {key:?}: {e}"))
+}
+
+/// [`req`] for a nullable member: `null` decodes to `None`.
+pub fn opt<'a, T>(
+    v: &'a Value,
+    key: &str,
+    decode: impl FnOnce(&'a Value) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match member(v, key)? {
+        Value::Null => Ok(None),
+        m => decode(m).map(Some).map_err(|e| format!("member {key:?}: {e}")),
+    }
 }
 
 /// A parsed JSON document.
@@ -332,15 +415,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Copy a full UTF-8 scalar so multi-byte text survives.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run of plain text up to the next quote or
+                // escape at once, so a string costs time linear in its
+                // length. Both delimiters are ASCII, so the run ends on a
+                // char boundary.
+                let len = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+                let end = len.map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| format!("invalid utf-8 at byte {pos}"))?;
-                let c = rest.chars().next().expect("non-empty rest");
                 if pending_surrogate.take().is_some() {
                     out.push('\u{FFFD}');
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -391,6 +478,33 @@ mod tests {
         assert!(parse_f64_bits(&Value::Str("00".into())).is_err(), "length checked");
         assert!(parse_u64_str(&Value::Str("-1".into())).is_err());
         assert!(parse_u64_str(&Value::Num(3.0)).is_err());
+    }
+
+    #[test]
+    fn typed_member_accessors_range_check() {
+        let v = parse(
+            r#"{"n": 7, "big": 1e20, "wide": 4294967300, "neg": -1, "frac": 1.5,
+                "s": "x", "b": true, "h": "00ff", "nil": null}"#,
+        )
+        .unwrap();
+        assert_eq!(req(&v, "n", uint::<u32>), Ok(7));
+        assert!(req(&v, "big", uint::<usize>).is_err(), "past 2^53 is refused, not saturated");
+        assert!(req(&v, "wide", uint::<u32>).is_err(), "no silent truncation to u32");
+        assert_eq!(req(&v, "wide", uint::<u64>), Ok(4_294_967_300));
+        assert!(req(&v, "neg", uint::<u64>).is_err());
+        assert!(req(&v, "frac", uint::<u64>).is_err());
+        assert_eq!(req(&v, "s", string), Ok("x".to_string()));
+        assert_eq!(req(&v, "b", boolean), Ok(true));
+        assert_eq!(req(&v, "h", hex64), Ok(0xff));
+        assert_eq!(opt(&v, "nil", hex64), Ok(None));
+        assert_eq!(opt(&v, "h", hex64), Ok(Some(0xff)));
+        assert_eq!(expect_type(&parse(r#"{"type": "a"}"#).unwrap(), "a"), Ok(()));
+        assert!(expect_type(&v, "a").is_err(), "a line without a type is not an \"a\" line");
+        let missing = req(&v, "absent", string).unwrap_err();
+        assert!(missing.contains("absent"), "{missing}");
+        for bad in ["", "+1", "12345678901234567", "xyz"] {
+            assert!(hex64(&Value::Str(bad.into())).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -87,8 +87,8 @@ impl DeadlineStats {
     /// from per-run or per-shard tallies are independent of the order
     /// the pieces arrive in.
     pub fn absorb(&mut self, other: &DeadlineStats) {
-        self.ticks += other.ticks;
-        self.misses += other.misses;
+        self.ticks = self.ticks.saturating_add(other.ticks);
+        self.misses = self.misses.saturating_add(other.misses);
         self.worst_ns = self.worst_ns.max(other.worst_ns);
     }
 }
