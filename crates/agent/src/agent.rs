@@ -12,7 +12,7 @@ use crate::kernels::{
     build_mask_kernel, build_rowmax_kernel,
 };
 use crate::layout::{cpu, out, param, GpuLayout};
-use diverseav_fabric::{Context, Fabric, Profile, Program, Trap};
+use diverseav_fabric::{f32_to_bits, Context, Fabric, Profile, Program, Trap};
 use diverseav_simworld::{Controls, RouteHint, SensorFrame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,6 +160,19 @@ pub struct PerceptionDebug {
     pub steer_ff: f32,
 }
 
+/// One GPU kernel launch of the agent's perception pipeline.
+#[derive(Copy, Clone, Debug)]
+pub struct KernelLaunch<'a> {
+    /// Kernel name (`mask`, `conv`, `rowmax`, `lane` or `decide`).
+    pub name: &'static str,
+    /// The kernel program.
+    pub program: &'a Program,
+    /// Thread count of the launch.
+    pub threads: u32,
+    /// Watchdog budget per thread.
+    pub budget: u64,
+}
+
 /// The compiled fabric programs of an agent (shared, immutable).
 #[derive(Clone, Debug)]
 struct AgentPrograms {
@@ -169,6 +182,26 @@ struct AgentPrograms {
     lane: Program,
     decide: Program,
     control: Program,
+}
+
+impl AgentPrograms {
+    /// The GPU kernel launches of one step, in execution order.
+    fn launches(&self, l: &GpuLayout, cfg: &AgentConfig) -> [KernelLaunch<'_>; 5] {
+        let kernel = |name, program, threads: usize, budget| KernelLaunch {
+            name,
+            program,
+            threads: threads as u32,
+            budget,
+        };
+        let b = cfg.gpu_thread_budget;
+        [
+            kernel("mask", &self.mask, l.w * l.h, b),
+            kernel("conv", &self.conv, l.w2 * l.h2, b),
+            kernel("rowmax", &self.rowmax, l.h2, b),
+            kernel("lane", &self.lane, l.w, b),
+            kernel("decide", &self.decide, 1, cfg.decide_budget),
+        ]
+    }
 }
 
 /// A Sensorimotor-style end-to-end agent executing on the compute fabric.
@@ -316,6 +349,19 @@ impl SensorimotorAgent {
         (self.gpu_ctx.bytes(), self.cpu_ctx.bytes())
     }
 
+    /// The five GPU kernel launches one [`step`](Self::step) runs on its
+    /// GPU context, in order — for replaying the perception pipeline
+    /// against [`gpu_context`](Self::gpu_context) outside a step.
+    pub fn gpu_launches(&self) -> [KernelLaunch<'_>; 5] {
+        self.programs.launches(&self.layout, &self.cfg)
+    }
+
+    /// The agent's GPU context: image planes, perception intermediates,
+    /// constant tables and parameters as the last step left them.
+    pub fn gpu_context(&self) -> &Context {
+        &self.gpu_ctx
+    }
+
     /// Perception telemetry from the last step.
     pub fn perception_debug(&self) -> PerceptionDebug {
         let l = &self.layout;
@@ -355,14 +401,16 @@ impl SensorimotorAgent {
         let img = &frame.cameras[1];
         debug_assert_eq!(img.width(), l.w);
         debug_assert_eq!(img.height(), l.h);
-        for y in 0..l.h {
-            for x in 0..l.w {
-                let [r, g, b] = img.pixel(x, y);
-                let i = y * l.w + x;
-                self.gpu_ctx.write_f32(l.img_r + i, r as f32 / 255.0);
-                self.gpu_ctx.write_f32(l.img_g + i, g as f32 / 255.0);
-                self.gpu_ctx.write_f32(l.img_b + i, b as f32 / 255.0);
-            }
+        // One pass over the interleaved bytes into the three adjacent
+        // channel planes.
+        let n = l.w * l.h;
+        debug_assert!(l.img_g == l.img_r + n && l.img_b == l.img_g + n);
+        let (red, green_blue) = self.gpu_ctx.mem[l.img_r..l.img_r + 3 * n].split_at_mut(n);
+        let (green, blue) = green_blue.split_at_mut(n);
+        for (((px, r), g), b) in img.data().chunks_exact(3).zip(red).zip(green).zip(blue) {
+            *r = f32_to_bits(px[0] as f32 / 255.0);
+            *g = f32_to_bits(px[1] as f32 / 255.0);
+            *b = f32_to_bits(px[2] as f32 / 255.0);
         }
         // Per-step compute jitter on the mask bias (nondeterminism model).
         let jitter: f64 = {
@@ -377,36 +425,10 @@ impl SensorimotorAgent {
         self.gpu_ctx.write_f32(l.params + param::HEAD_ERR, hint.heading_err);
 
         // --- GPU perception pipeline ---
-        let gerr = |trap| AgentError { fabric: Profile::Gpu, trap };
-        let n = (l.w * l.h) as u32;
-        gpu.run_kernel(&self.programs.mask, &mut self.gpu_ctx, n, &[], self.cfg.gpu_thread_budget)
-            .map_err(gerr)?;
-        gpu.run_kernel(
-            &self.programs.conv,
-            &mut self.gpu_ctx,
-            (l.w2 * l.h2) as u32,
-            &[],
-            self.cfg.gpu_thread_budget,
-        )
-        .map_err(gerr)?;
-        gpu.run_kernel(
-            &self.programs.rowmax,
-            &mut self.gpu_ctx,
-            l.h2 as u32,
-            &[],
-            self.cfg.gpu_thread_budget,
-        )
-        .map_err(gerr)?;
-        gpu.run_kernel(
-            &self.programs.lane,
-            &mut self.gpu_ctx,
-            l.w as u32,
-            &[],
-            self.cfg.gpu_thread_budget,
-        )
-        .map_err(gerr)?;
-        gpu.run_kernel(&self.programs.decide, &mut self.gpu_ctx, 1, &[], self.cfg.decide_budget)
-            .map_err(gerr)?;
+        for k in self.programs.launches(&l, &self.cfg) {
+            gpu.run_kernel(k.program, &mut self.gpu_ctx, k.threads, &[], k.budget)
+                .map_err(|trap| AgentError { fabric: Profile::Gpu, trap })?;
+        }
 
         // --- host DMA: waypoints GPU → CPU (stack buffer, no allocation) ---
         let mut wp = [0.0f32; 8];

@@ -45,5 +45,5 @@ pub mod agent;
 pub mod kernels;
 pub mod layout;
 
-pub use agent::{AgentConfig, AgentError, PerceptionDebug, SensorimotorAgent};
+pub use agent::{AgentConfig, AgentError, KernelLaunch, PerceptionDebug, SensorimotorAgent};
 pub use layout::GpuLayout;

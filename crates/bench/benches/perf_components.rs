@@ -8,7 +8,7 @@ use diverseav::{
     TrainSample, VehState,
 };
 use diverseav_agent::{AgentConfig, SensorimotorAgent};
-use diverseav_fabric::{Fabric, Profile, ProgramBuilder, Reg};
+use diverseav_fabric::{Context, Fabric, Profile, ProgramBuilder, Reg};
 use diverseav_runtime::{PolicyDriver, SimLoop};
 use diverseav_simworld::{
     lead_slowdown, lidar_scan_into, render_camera, Controls, RenderScene, SensorConfig, World,
@@ -39,31 +39,37 @@ fn interpreter_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Data-parallel kernel launch (the agent's dominant cost shape), through
-/// both engines: the lockstep path `run_kernel` dispatches to, and the
-/// thread-major reference interpreter it must stay bit-identical to. The
-/// pair is the standing measurement of the lockstep speedup.
+/// The agent's five GPU kernel launches (mask, conv, rowmax, lane, decide)
+/// replayed on the GPU context one real step left behind on a sensed
+/// `lead_slowdown` frame, through both engines: the lockstep path
+/// `run_kernel` dispatches to, and the thread-major reference interpreter
+/// it must stay bit-identical to. The pair is the standing measurement of
+/// the lockstep speedup on the workload campaigns actually run.
 fn kernel_launch(c: &mut Criterion) {
-    let mut b = ProgramBuilder::new();
-    b.tid(Reg(0));
-    b.ld(Reg(1), Reg(0), 0);
-    b.ldimm_f(Reg(2), 1.5);
-    b.fmul(Reg(1), Reg(1), Reg(2));
-    b.st(Reg(0), Reg(1), 4096);
-    b.halt();
-    let prog = b.build();
+    let mut world = World::new(lead_slowdown(), SensorConfig::default(), 8);
+    let frame = world.sense();
+    let hint = world.route_hint();
+    let mut agent = SensorimotorAgent::new(AgentConfig::default(), 1);
+    let (mut gpu, mut cpu) = (Fabric::new(Profile::Gpu), Fabric::new(Profile::Cpu));
+    agent.step(&frame, hint, 0.025, &mut gpu, &mut cpu).expect("fault-free");
+    let launches = agent.gpu_launches();
+    let replay = |fabric: &mut Fabric, ctx: &mut Context, reference: bool| {
+        for k in &launches {
+            let run = if reference { Fabric::run_kernel_reference } else { Fabric::run_kernel };
+            run(fabric, k.program, ctx, k.threads, &[], k.budget).expect("fault-free");
+        }
+    };
+    let mut probe = Fabric::new(Profile::Gpu);
+    replay(&mut probe, &mut agent.gpu_context().clone(), true);
     let mut group = c.benchmark_group("fabric");
-    group.throughput(Throughput::Elements(3072 * prog.len() as u64));
-    group.bench_function("kernel_3072_threads", |bench| {
-        let mut fabric = Fabric::new(Profile::Gpu);
-        let mut ctx = fabric.new_context(8192);
-        bench.iter(|| fabric.run_kernel(&prog, &mut ctx, 3072, &[], 100).expect("runs"));
-    });
-    group.bench_function("kernel_3072_threads_scalar_reference", |bench| {
-        let mut fabric = Fabric::new(Profile::Gpu);
-        let mut ctx = fabric.new_context(8192);
-        bench.iter(|| fabric.run_kernel_reference(&prog, &mut ctx, 3072, &[], 100).expect("runs"));
-    });
+    group.throughput(Throughput::Elements(probe.dyn_instr_count()));
+    for (name, reference) in [("agent_kernels", false), ("agent_kernels_scalar_reference", true)] {
+        group.bench_function(name, |bench| {
+            let mut fabric = Fabric::new(Profile::Gpu);
+            let mut ctx = agent.gpu_context().clone();
+            bench.iter(|| replay(&mut fabric, &mut ctx, reference));
+        });
+    }
     group.finish();
 }
 

@@ -2,9 +2,10 @@
 //! (GPU-profile) execution with trap semantics and fault injection.
 
 use crate::fault::{FaultModel, FaultState};
-use crate::isa::{bits_to_f32, f32_to_bits, Op, Reg, ALL_OPS, NUM_REGS};
+use crate::isa::{bits_to_f32, f32_to_bits, Instr, Op, Reg, ALL_OPS, NUM_REGS};
 use crate::program::Program;
 use crate::stats::ExecStats;
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -189,61 +190,327 @@ pub struct Fabric {
     stats: ExecStats,
     fault: Option<FaultState>,
     dyn_counter: u64,
-    scratch: LockstepScratch,
 }
 
-/// Default lane width of the lockstep kernel engine.
+/// Widest strip of threads the lockstep engine runs side by side.
 ///
-/// Sixteen lanes amortize one fetch/decode over sixteen threads while the
-/// per-lane state (a lane-major `[[u32; LANES]; NUM_REGS]` register file,
-/// 4 KiB at this width) still fits comfortably in L1, and the value loops
-/// map onto full vector registers.
-pub const LANES: usize = 16;
+/// One fetch/decode, one budget compare and — for uniform or contiguous
+/// addresses — one bounds and conflict check per memory access are shared
+/// by up to this many threads. The strip's register file holds one
+/// `STRIP`-word column per register the program names (a few KiB for the
+/// agent's kernels, 64 KiB at most), so it stays cache-resident and its
+/// size is bounded by the strip, never by the launch.
+const STRIP: usize = 256;
 
-/// Store-owner map entries pack the owning lane into 8 bits, so lane
-/// widths must stay below this bound.
-const MAX_LANE_WIDTH: usize = u8::MAX as usize;
+/// Store-owner map entries pack the owning lane into the low `LANE_BITS`
+/// bits and the strip epoch above them.
+const LANE_BITS: u32 = 16;
+const LANE_MASK: u64 = (1 << LANE_BITS) - 1;
 
-/// Per-fabric scratch for lockstep batches: an epoch-tagged store-owner map
-/// over context memory, a load-interval summary, an undo log for store
-/// rollback, and the batch's deferred instruction accounting. All buffers
-/// retain capacity across batches so steady-state kernel launches stay
-/// allocation-free.
+/// Widest strip the store-owner map can represent.
+const MAX_STRIP: usize = 1 << LANE_BITS;
+
+/// Column index of a register the current program never names.
+const NO_COL: u8 = u8::MAX;
+
+/// Per-strip memory bookkeeping: an epoch-tagged store-owner map over
+/// context memory, conservative load intervals, the strip's store interval
+/// and an undo log for rollback. All buffers retain capacity across strips
+/// so steady-state kernel launches stay allocation-free.
 ///
 /// Loads are deliberately *not* tracked per word. They only record two
-/// address intervals for the batch — `[load_lo, load_hi]` for lane-varying
+/// address intervals for the strip — `[load_lo, load_hi]` for lane-varying
 /// loads and `[uload_lo, uload_hi]` for uniform broadcast loads — and a
 /// store landing inside either interval aborts to the exact scalar path
 /// instead of consulting a per-word load map. That is strictly more
-/// conservative than precise tracking — every previously-detected conflict
-/// still aborts, some same-lane or disjoint-word cases now abort too — and
-/// aborting is always semantics-preserving (rollback + scalar replay). In
-/// exchange the dominant operation of real kernels, the load, costs no map
-/// traffic at all. Two intervals instead of one because real layouts put
-/// uniform constants (parameter blocks, LUTs) at the far end of memory,
-/// past the output planes: one interval would span the outputs and force
-/// every store to abort. Kernels that genuinely read and write the same
-/// region in one program (the agent's 1-thread planning kernel with its
-/// history buffer) simply run scalar.
+/// conservative than precise tracking, and aborting is always
+/// semantics-preserving (rollback + scalar replay). In exchange the
+/// dominant operation of real kernels, the load, costs no map traffic at
+/// all. Two intervals instead of one because real layouts put uniform
+/// constants (parameter blocks, LUTs) at the far end of memory, past the
+/// output planes: one interval would span the outputs and force every
+/// store to abort. Kernels that genuinely read and write the same region
+/// in one program (the agent's 1-thread planning kernel with its history
+/// buffer) simply run scalar.
 #[derive(Clone, Debug)]
-struct LockstepScratch {
-    /// Current batch epoch; a map entry is valid only if its epoch matches.
+struct StripMemory {
+    /// Current strip epoch; a map entry is valid only if its epoch matches.
     epoch: u32,
-    /// Store-owner map: per word, `epoch << 8 | lane` packed into one entry
-    /// so an ownership probe is a single load.
+    /// Store-owner map: per word, `epoch << LANE_BITS | lane` packed into
+    /// one entry so an ownership probe is a single load.
     store_map: Vec<u64>,
-    /// Lowest / highest word address covered by lane-varying loads this
-    /// batch (`lo > hi` when empty).
+    /// Lowest / highest word covered by lane-varying loads this strip
+    /// (`lo > hi` when empty).
     load_lo: usize,
     load_hi: usize,
-    /// Lowest / highest word address covered by uniform broadcast loads
-    /// this batch (`lo > hi` when empty).
+    /// Lowest / highest word covered by uniform broadcast loads.
     uload_lo: usize,
     uload_hi: usize,
-    /// `(addr, previous value)` for every store in the current batch, in
-    /// execution order; popped in reverse to roll a batch back.
-    undo: Vec<(u32, u32)>,
-    /// Lane-executions per opcode in the current batch; folded into
+    /// Lowest / highest word stored this strip. Owner-map entries of the
+    /// current epoch only exist inside it, so loads and stores outside it
+    /// skip the per-lane owner probe.
+    store_lo: usize,
+    store_hi: usize,
+    /// `(first word, length)` of every store run this strip, in execution
+    /// order; the old words are appended to `undo_words` in the same order.
+    undo_runs: Vec<(u32, u32)>,
+    undo_words: Vec<u32>,
+}
+
+impl Default for StripMemory {
+    fn default() -> Self {
+        StripMemory {
+            epoch: 0,
+            store_map: Vec::new(),
+            load_lo: usize::MAX,
+            load_hi: 0,
+            uload_lo: usize::MAX,
+            uload_hi: 0,
+            store_lo: usize::MAX,
+            store_hi: 0,
+            undo_runs: Vec::new(),
+            undo_words: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    /// One lockstep scratch per thread, shared by every fabric the thread
+    /// drives. Campaigns create fresh fabrics for every run; keeping the
+    /// scratch here means those fabrics allocate nothing and the buffers
+    /// stay warm from run to run.
+    static SCRATCH: RefCell<LockstepScratch> = RefCell::new(LockstepScratch::default());
+}
+
+/// Whether all lanes address one word (`uniform`) or lane `l` addresses
+/// `a[0] + l` (`contiguous`). A single lane is both.
+#[inline]
+fn classify(a: &[u32]) -> (bool, bool) {
+    let a0 = a[0];
+    let mut uniform = true;
+    let mut contiguous = true;
+    for (l, &x) in a.iter().enumerate() {
+        uniform &= x == a0;
+        contiguous &= x == a0.wrapping_add(l as u32);
+    }
+    (uniform, contiguous)
+}
+
+impl StripMemory {
+    /// Open a new strip epoch over a context of `words` memory words.
+    fn begin(&mut self, words: usize) {
+        if self.store_map.len() < words {
+            self.store_map.resize(words, 0);
+        }
+        self.undo_runs.clear();
+        self.undo_words.clear();
+        self.load_lo = usize::MAX;
+        self.load_hi = 0;
+        self.uload_lo = usize::MAX;
+        self.uload_hi = 0;
+        self.store_lo = usize::MAX;
+        self.store_hi = 0;
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                // Epoch wrap: stale entries could alias the new epoch, so
+                // clear the map once every 2^32 strips.
+                self.store_map.fill(0);
+                1
+            }
+        };
+    }
+
+    /// Whether `[lo, hi]` intersects this strip's store interval.
+    #[inline]
+    fn overlaps_stores(&self, lo: usize, hi: usize) -> bool {
+        lo <= self.store_hi && self.store_lo <= hi
+    }
+
+    /// Whether `[lo, hi]` intersects either load interval of this strip.
+    #[inline]
+    fn overlaps_loads(&self, lo: usize, hi: usize) -> bool {
+        (lo <= self.load_hi && self.load_lo <= hi) || (lo <= self.uload_hi && self.uload_lo <= hi)
+    }
+
+    /// Whether another lane than `lane` stored to word `idx` this strip.
+    #[inline]
+    fn foreign_owner(&self, idx: usize, lane: usize) -> bool {
+        let e = self.store_map[idx];
+        e >> LANE_BITS == self.epoch as u64 && e & LANE_MASK != lane as u64
+    }
+
+    #[inline]
+    fn note_load_range(&mut self, lo: usize, hi: usize) {
+        self.load_lo = self.load_lo.min(lo);
+        self.load_hi = self.load_hi.max(hi);
+    }
+
+    #[inline]
+    fn note_store_range(&mut self, lo: usize, hi: usize) {
+        self.store_lo = self.store_lo.min(lo);
+        self.store_hi = self.store_hi.max(hi);
+    }
+
+    /// Converged `Ld` of every lane (`a` = address registers, `imm` the
+    /// offset) into `val`. Returns `false` to abort the strip: an
+    /// out-of-bounds lane (the scalar replay raises the exact trap) or a
+    /// read of a word another lane stored this strip.
+    fn load(&mut self, mem: &[u32], a: &[u32], imm: u32, val: &mut [u32]) -> bool {
+        let w = a.len();
+        let (uniform, contiguous) = classify(a);
+        let base = a[0].wrapping_add(imm) as usize;
+        if uniform {
+            // Shared weights, parameter blocks: one bounds check and one
+            // broadcast. Any same-strip store to the word aborts — with
+            // ≥ 2 lanes reading it that is a guaranteed cross-lane
+            // conflict, with one lane merely conservative.
+            let Some(&word) = mem.get(base) else { return false };
+            if self.store_map[base] >> LANE_BITS == self.epoch as u64 {
+                return false;
+            }
+            self.uload_lo = self.uload_lo.min(base);
+            self.uload_hi = self.uload_hi.max(base);
+            val.fill(word);
+        } else if contiguous {
+            // Lane l reads base + l: one bounds check, one interval test
+            // and a slice copy. A range that wraps past u32::MAX ends
+            // beyond memory and aborts.
+            let hi = base + w - 1;
+            if hi >= mem.len() {
+                return false;
+            }
+            self.note_load_range(base, hi);
+            if self.overlaps_stores(base, hi) && (0..w).any(|l| self.foreign_owner(base + l, l)) {
+                return false;
+            }
+            val.copy_from_slice(&mem[base..=hi]);
+        } else {
+            // Gather: a hoisted min/max bounds check, then per-lane reads.
+            let (mut lo, mut hi) = (u32::MAX, 0u32);
+            for &x in a {
+                let ad = x.wrapping_add(imm);
+                lo = lo.min(ad);
+                hi = hi.max(ad);
+            }
+            let (lo, hi) = (lo as usize, hi as usize);
+            if hi >= mem.len() {
+                return false;
+            }
+            self.note_load_range(lo, hi);
+            if self.overlaps_stores(lo, hi)
+                && a.iter()
+                    .enumerate()
+                    .any(|(l, &x)| self.foreign_owner(x.wrapping_add(imm) as usize, l))
+            {
+                return false;
+            }
+            for (v, &x) in val.iter_mut().zip(a) {
+                *v = mem[x.wrapping_add(imm) as usize];
+            }
+        }
+        true
+    }
+
+    /// One lane's `Ld` of word `addr` (masked path); `None` aborts.
+    #[inline]
+    fn load_lane(&mut self, mem: &[u32], addr: u32, lane: usize) -> Option<u32> {
+        let idx = addr as usize;
+        let &word = mem.get(idx)?;
+        if self.foreign_owner(idx, lane) {
+            return None;
+        }
+        self.note_load_range(idx, idx);
+        Some(word)
+    }
+
+    /// Converged `St` of every lane (`a` = address registers, `b` = values).
+    /// Returns `false` to abort the strip: out of bounds, a word some lane
+    /// loaded this strip (conservative), or a word another lane stored.
+    fn store(&mut self, mem: &mut [u32], a: &[u32], b: &[u32], imm: u32) -> bool {
+        let w = a.len();
+        let (uniform, contiguous) = classify(a);
+        if contiguous {
+            // Lane l writes base + l: one bounds check, one interval test,
+            // owner tags, and the old slice saved as one undo run.
+            let base = a[0].wrapping_add(imm) as usize;
+            let hi = base + w - 1;
+            if hi >= mem.len() || self.overlaps_loads(base, hi) {
+                return false;
+            }
+            if self.overlaps_stores(base, hi) && (0..w).any(|l| self.foreign_owner(base + l, l)) {
+                return false;
+            }
+            let tag = (self.epoch as u64) << LANE_BITS;
+            for (l, e) in self.store_map[base..=hi].iter_mut().enumerate() {
+                *e = tag | l as u64;
+            }
+            self.note_store_range(base, hi);
+            self.undo_runs.push((base as u32, w as u32));
+            self.undo_words.extend_from_slice(&mem[base..=hi]);
+            mem[base..=hi].copy_from_slice(b);
+            true
+        } else if uniform {
+            // Two or more lanes writing one word always conflict.
+            false
+        } else {
+            a.iter()
+                .zip(b)
+                .enumerate()
+                .all(|(l, (&x, &v))| self.store_lane(mem, x.wrapping_add(imm), l, v))
+        }
+    }
+
+    /// One lane's `St` of `value` to word `addr`; `false` aborts.
+    #[inline]
+    fn store_lane(&mut self, mem: &mut [u32], addr: u32, lane: usize, value: u32) -> bool {
+        let idx = addr as usize;
+        if idx >= mem.len() || self.overlaps_loads(idx, idx) || self.foreign_owner(idx, lane) {
+            return false;
+        }
+        self.store_map[idx] = (self.epoch as u64) << LANE_BITS | lane as u64;
+        self.note_store_range(idx, idx);
+        self.undo_runs.push((addr, 1));
+        self.undo_words.push(mem[idx]);
+        mem[idx] = value;
+        true
+    }
+
+    /// Undo every store of the current strip, newest run first.
+    fn rollback(&mut self, mem: &mut [u32]) {
+        while let Some((addr, len)) = self.undo_runs.pop() {
+            let (addr, len) = (addr as usize, len as usize);
+            let from = self.undo_words.len() - len;
+            mem[addr..addr + len].copy_from_slice(&self.undo_words[from..]);
+            self.undo_words.truncate(from);
+        }
+    }
+}
+
+/// Scratch of the lockstep engine: the strip's memory bookkeeping, a
+/// compacted column-major register file, per-lane control state, and the
+/// strip's deferred instruction accounting. Every buffer is sized to the
+/// strip (the owner map to the context) and retained across launches.
+#[derive(Debug)]
+struct LockstepScratch {
+    mem: StripMemory,
+    /// Register → column of `regs`, [`NO_COL`] for registers the current
+    /// program never names.
+    col: [u8; NUM_REGS],
+    /// Number of columns the current program needs.
+    ncols: usize,
+    /// Register columns: lane `l` of column `c` is `regs[c * w + l]` for a
+    /// strip of `w` lanes.
+    regs: Vec<u32>,
+    /// The current step's value vector, one word per lane.
+    val: Vec<u32>,
+    /// Per-lane pc, liveness and executed-instruction counts (masked path;
+    /// `executed` also reports the converged count on a clean exit).
+    pc: Vec<u32>,
+    live: Vec<bool>,
+    active: Vec<bool>,
+    executed: Vec<u64>,
+    /// Lane-executions per opcode in the current strip; folded into
     /// [`ExecStats`] and the dynamic-instruction counter only on commit.
     op_counts: [u64; ALL_OPS.len()],
 }
@@ -251,95 +518,356 @@ struct LockstepScratch {
 impl Default for LockstepScratch {
     fn default() -> Self {
         LockstepScratch {
-            epoch: 0,
-            store_map: Vec::new(),
-            load_lo: usize::MAX,
-            load_hi: 0,
-            uload_lo: usize::MAX,
-            uload_hi: 0,
-            undo: Vec::new(),
+            mem: StripMemory::default(),
+            col: [NO_COL; NUM_REGS],
+            ncols: 0,
+            regs: Vec::new(),
+            val: Vec::new(),
+            pc: Vec::new(),
+            live: Vec::new(),
+            active: Vec::new(),
+            executed: Vec::new(),
             op_counts: [0; ALL_OPS.len()],
         }
     }
 }
 
 impl LockstepScratch {
-    /// Open a new batch epoch over a context of `words` memory words.
-    fn begin_batch(&mut self, words: usize) {
-        if self.store_map.len() < words {
-            self.store_map.resize(words, 0);
-        }
-        self.undo.clear();
-        self.op_counts = [0; ALL_OPS.len()];
-        self.load_lo = usize::MAX;
-        self.load_hi = 0;
-        self.uload_lo = usize::MAX;
-        self.uload_hi = 0;
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap: stale entries could alias the new epoch, so
-                // clear the map once every 2^32 batches.
-                self.store_map.fill(0);
-                1
+    /// Give every register `instrs` names a column, in first-use order.
+    fn map_registers(&mut self, instrs: &[Instr]) {
+        self.col = [NO_COL; NUM_REGS];
+        self.ncols = 0;
+        for ins in instrs {
+            for r in [ins.dst, ins.a, ins.b, ins.c] {
+                if self.col[r.idx()] == NO_COL {
+                    self.col[r.idx()] = self.ncols as u8;
+                    self.ncols += 1;
+                }
             }
-        };
-    }
-
-    /// Widen the batch's lane-varying load interval to cover `[lo, hi]`.
-    #[inline]
-    fn note_load_range(&mut self, lo: usize, hi: usize) {
-        if lo < self.load_lo {
-            self.load_lo = lo;
-        }
-        if hi > self.load_hi {
-            self.load_hi = hi;
         }
     }
 
-    /// Widen the batch's uniform-load interval to cover `addr`.
-    #[inline]
-    fn note_uniform_load(&mut self, addr: usize) {
-        if addr < self.uload_lo {
-            self.uload_lo = addr;
+    /// Reset for a strip of `w` lanes over `words` memory words: zeroed
+    /// registers with `args` preloaded, every lane live at pc 0.
+    fn begin_strip(&mut self, words: usize, w: usize, args: &[(Reg, u32)]) {
+        self.mem.begin(words);
+        self.op_counts = [0; ALL_OPS.len()];
+        self.regs.clear();
+        self.regs.resize(self.ncols * w, 0);
+        for &(r, v) in args {
+            let c = self.col[r.idx()];
+            if c != NO_COL {
+                self.regs[c as usize * w..][..w].fill(v);
+            }
         }
-        if addr > self.uload_hi {
-            self.uload_hi = addr;
-        }
+        // The masked path sets `pc`, `executed` and `active` before
+        // reading them; only liveness starts fixed.
+        self.val.resize(w, 0);
+        self.pc.resize(w, 0);
+        self.executed.resize(w, 0);
+        self.active.resize(w, false);
+        self.live.clear();
+        self.live.resize(w, true);
     }
 
-    /// Whether a load of `addr` by `lane` conflicts with another lane's
-    /// earlier store this batch.
-    #[inline]
-    fn load_conflicts(&self, addr: usize, lane: u8) -> bool {
-        let s = self.store_map[addr];
-        s >> 8 == self.epoch as u64 && s & 0xFF != lane as u64
-    }
+    /// Execute one strip of `w` threads (`t0..t0+w`) in lockstep.
+    ///
+    /// One instruction is fetched and decoded per step and applied across
+    /// the strip's lanes. Until a conditional branch splits them, all lanes
+    /// share one pc (the converged path); after a split, each step executes
+    /// the smallest pc among live lanes under an active mask, so lanes that
+    /// branched apart rejoin at the earliest common point. Cross-lane
+    /// memory conflicts, traps, and watchdog exhaustion abort the strip —
+    /// the caller rolls back and replays on the scalar path, which keeps
+    /// the committed fast path bit-identical to thread-major execution.
+    #[allow(clippy::too_many_arguments)]
+    fn run_strip(
+        &mut self,
+        fault: &mut Option<FaultState>,
+        prog: &Program,
+        mem: &mut [u32],
+        t0: u32,
+        w: usize,
+        args: &[(Reg, u32)],
+        budget: u64,
+        mode: LaneFault,
+    ) -> StripExit {
+        self.begin_strip(mem.len(), w, args);
+        let instrs = prog.instrs();
+        let plen = instrs.len();
+        let mut dyn_add = 0u64;
 
-    /// Record a store to `addr` by `lane`; returns `false` on a conflict
-    /// with any earlier load this batch (conservative interval check) or
-    /// with another lane's earlier store.
-    #[inline]
-    fn note_store(&mut self, addr: usize, lane: u8) -> bool {
-        if (self.load_lo <= addr && addr <= self.load_hi)
-            || (self.uload_lo <= addr && addr <= self.uload_hi)
-        {
-            return false;
+        // --- Converged path ----------------------------------------------
+        //
+        // Lanes march through one shared pc: one fetch, one budget compare
+        // and one accounting add per step, and unmasked value loops. This
+        // is the steady state of the agent's straight-line and uniform-loop
+        // kernels; only genuinely divergent strips pay for the masked
+        // min-pc machinery below.
+        let mut cpc = 0usize;
+        let mut cexec = 0u64;
+        loop {
+            let Some(ins) = instrs.get(cpc) else {
+                // Falling off the end is an implicit halt with no budget
+                // check, exactly as in the scalar interpreter.
+                self.executed.fill(cexec);
+                return StripExit::Clean { dyn_add };
+            };
+            if cexec >= budget {
+                // The scalar path raises Watchdog here.
+                return StripExit::Abort;
+            }
+            cexec += 1;
+            self.op_counts[ins.op.index()] += w as u64;
+            dyn_add += w as u64;
+            match ins.op {
+                Op::Halt => {
+                    self.executed.fill(cexec);
+                    return StripExit::Clean { dyn_add };
+                }
+                Op::Jmp => {
+                    if ins.imm as usize > plen {
+                        // Scalar path raises InvalidTarget.
+                        return StripExit::Abort;
+                    }
+                    cpc = ins.imm as usize;
+                    continue;
+                }
+                Op::Jz | Op::Jnz => {
+                    let want_zero = ins.op == Op::Jz;
+                    let a = column(&self.regs, &self.col, ins.a, w);
+                    let first = (a[0] == 0) == want_zero;
+                    if a.iter().all(|&x| ((x == 0) == want_zero) == first) {
+                        if !first {
+                            cpc += 1;
+                        } else if ins.imm as usize > plen {
+                            return StripExit::Abort;
+                        } else {
+                            cpc = ins.imm as usize;
+                        }
+                        continue;
+                    }
+                    // Lanes split here: materialize per-lane pcs and fall
+                    // through to the masked loop for the rest of the strip.
+                    if ins.imm as usize > plen {
+                        return StripExit::Abort;
+                    }
+                    let a = column(&self.regs, &self.col, ins.a, w);
+                    for (p, &x) in self.pc.iter_mut().zip(a) {
+                        *p = if (x == 0) == want_zero { ins.imm } else { cpc as u32 + 1 };
+                    }
+                    self.executed.fill(cexec);
+                    break;
+                }
+                Op::St => {
+                    let (a, b) = (
+                        column(&self.regs, &self.col, ins.a, w),
+                        column(&self.regs, &self.col, ins.b, w),
+                    );
+                    if !self.mem.store(mem, a, b, ins.imm) {
+                        return StripExit::Abort;
+                    }
+                    cpc += 1;
+                    continue;
+                }
+                Op::Ld => {
+                    let a = column(&self.regs, &self.col, ins.a, w);
+                    if !self.mem.load(mem, a, ins.imm, &mut self.val) {
+                        return StripExit::Abort;
+                    }
+                }
+                _ => alu(ins, &self.regs, &self.col, t0, &mut self.val),
+            }
+            mode.apply(fault, ins.op, &mut self.val, |_| true, |_| cexec);
+            let d = self.col[ins.dst.idx()] as usize * w;
+            self.regs[d..d + w].copy_from_slice(&self.val);
+            cpc += 1;
         }
-        let s = self.store_map[addr];
-        if s >> 8 == self.epoch as u64 && s & 0xFF != lane as u64 {
-            return false;
+
+        // --- Masked path -------------------------------------------------
+        loop {
+            // Reconvergence point: the minimum pc among live lanes.
+            let pc_cur =
+                self.pc.iter().zip(&self.live).filter(|&(_, &on)| on).map(|(&p, _)| p).min();
+            let Some(pc_cur) = pc_cur else { break };
+            for ((a, &p), &on) in self.active.iter_mut().zip(&self.pc).zip(&self.live) {
+                *a = on && p == pc_cur;
+            }
+            let Some(ins) = instrs.get(pc_cur as usize) else {
+                // Falling off the end is an implicit halt with no budget
+                // check, exactly as in the scalar interpreter.
+                for (on, &a) in self.live.iter_mut().zip(&self.active) {
+                    *on &= !a;
+                }
+                continue;
+            };
+            let mut n_active = 0u64;
+            for (e, &a) in self.executed.iter_mut().zip(&self.active) {
+                if a && *e >= budget {
+                    // The scalar path raises Watchdog here.
+                    return StripExit::Abort;
+                }
+                *e += a as u64;
+                n_active += a as u64;
+            }
+            self.op_counts[ins.op.index()] += n_active;
+            dyn_add += n_active;
+            let next = pc_cur + 1;
+
+            match ins.op {
+                Op::Halt => {
+                    for (on, &a) in self.live.iter_mut().zip(&self.active) {
+                        *on &= !a;
+                    }
+                    continue;
+                }
+                Op::Jmp | Op::Jz | Op::Jnz => {
+                    let a = column(&self.regs, &self.col, ins.a, w);
+                    for l in (0..w).filter(|&l| self.active[l]) {
+                        let taken = match ins.op {
+                            Op::Jmp => true,
+                            Op::Jz => a[l] == 0,
+                            _ => a[l] != 0,
+                        };
+                        if !taken {
+                            self.pc[l] = next;
+                        } else if ins.imm as usize > plen {
+                            // Scalar path raises InvalidTarget.
+                            return StripExit::Abort;
+                        } else {
+                            self.pc[l] = ins.imm;
+                        }
+                    }
+                    continue;
+                }
+                Op::St => {
+                    let a = column(&self.regs, &self.col, ins.a, w);
+                    let b = column(&self.regs, &self.col, ins.b, w);
+                    for l in (0..w).filter(|&l| self.active[l]) {
+                        if !self.mem.store_lane(mem, a[l].wrapping_add(ins.imm), l, b[l]) {
+                            return StripExit::Abort;
+                        }
+                        self.pc[l] = next;
+                    }
+                    continue;
+                }
+                Op::Ld => {
+                    let a = column(&self.regs, &self.col, ins.a, w);
+                    for l in (0..w).filter(|&l| self.active[l]) {
+                        match self.mem.load_lane(mem, a[l].wrapping_add(ins.imm), l) {
+                            Some(word) => self.val[l] = word,
+                            None => return StripExit::Abort,
+                        }
+                    }
+                }
+                _ => alu(ins, &self.regs, &self.col, t0, &mut self.val),
+            }
+            let (active, executed) = (&self.active, &self.executed);
+            mode.apply(fault, ins.op, &mut self.val, |l| active[l], |l| executed[l]);
+            let d = self.col[ins.dst.idx()] as usize * w;
+            for l in (0..w).filter(|&l| self.active[l]) {
+                self.regs[d + l] = self.val[l];
+                self.pc[l] = next;
+            }
         }
-        self.store_map[addr] = (self.epoch as u64) << 8 | lane as u64;
-        true
+        StripExit::Clean { dyn_add }
     }
 }
 
-/// Fault realization mode for one lockstep batch.
+/// Lanes `0..w` of register `r` in a column-major register file.
+#[inline(always)]
+fn column<'a>(regs: &'a [u32], col: &[u8; NUM_REGS], r: Reg, w: usize) -> &'a [u32] {
+    &regs[col[r.idx()] as usize * w..][..w]
+}
+
+/// The strip engine's one value ALU: computes `ins`'s result for every lane
+/// (`val.len()` lanes of the column-major `regs`) into `val`, branch-free
+/// so each loop autovectorizes. The converged and masked paths both call
+/// it for every register-to-register opcode; masked callers discard
+/// inactive lanes. Memory and control-flow opcodes are theirs to handle.
+#[inline(always)]
+fn alu(ins: &Instr, regs: &[u32], col: &[u8; NUM_REGS], t0: u32, val: &mut [u32]) {
+    let w = val.len();
+    let column = |r: Reg| column(regs, col, r, w);
+    let (a, b) = (column(ins.a), column(ins.b));
+    macro_rules! map2 {
+        ($f:expr) => {
+            for ((v, &x), &y) in val.iter_mut().zip(a).zip(b) {
+                *v = $f(x, y);
+            }
+        };
+    }
+    macro_rules! fmap2 {
+        ($f:expr) => {
+            map2!(|x, y| f32_to_bits($f(bits_to_f32(x), bits_to_f32(y))))
+        };
+    }
+    macro_rules! map1 {
+        ($f:expr) => {
+            for (v, &x) in val.iter_mut().zip(a) {
+                *v = $f(x);
+            }
+        };
+    }
+    macro_rules! fmap1 {
+        ($f:expr) => {
+            map1!(|x| f32_to_bits($f(bits_to_f32(x))))
+        };
+    }
+    match ins.op {
+        Op::FAdd => fmap2!(|x: f32, y: f32| x + y),
+        Op::FSub => fmap2!(|x: f32, y: f32| x - y),
+        Op::FMul => fmap2!(|x: f32, y: f32| x * y),
+        Op::FDiv => fmap2!(|x: f32, y: f32| x / y),
+        Op::FMin => fmap2!(|x: f32, y: f32| x.min(y)),
+        Op::FMax => fmap2!(|x: f32, y: f32| x.max(y)),
+        Op::FAbs => fmap1!(|x: f32| x.abs()),
+        Op::FNeg => fmap1!(|x: f32| -x),
+        Op::FSqrt => fmap1!(|x: f32| x.sqrt()),
+        Op::FFma => {
+            let c = column(ins.c);
+            for (((v, &x), &y), &z) in val.iter_mut().zip(a).zip(b).zip(c) {
+                *v = f32_to_bits(bits_to_f32(x).mul_add(bits_to_f32(y), bits_to_f32(z)));
+            }
+        }
+        Op::IAdd => map2!(|x: u32, y: u32| x.wrapping_add(y)),
+        Op::ISub => map2!(|x: u32, y: u32| x.wrapping_sub(y)),
+        Op::IMul => map2!(|x: u32, y: u32| x.wrapping_mul(y)),
+        Op::IAnd => map2!(|x: u32, y: u32| x & y),
+        Op::IOr => map2!(|x: u32, y: u32| x | y),
+        Op::IXor => map2!(|x: u32, y: u32| x ^ y),
+        Op::IShl => map2!(|x: u32, y: u32| x << (y & 31)),
+        Op::IShr => map2!(|x: u32, y: u32| x >> (y & 31)),
+        Op::FLt => map2!(|x, y| (bits_to_f32(x) < bits_to_f32(y)) as u32),
+        Op::FLe => map2!(|x, y| (bits_to_f32(x) <= bits_to_f32(y)) as u32),
+        Op::ILt => map2!(|x: u32, y: u32| (x < y) as u32),
+        Op::IEq => map2!(|x: u32, y: u32| (x == y) as u32),
+        Op::Sel => {
+            let c = column(ins.c);
+            for (((v, &x), &y), &z) in val.iter_mut().zip(a).zip(b).zip(c) {
+                *v = if x != 0 { y } else { z };
+            }
+        }
+        Op::Mov => val.copy_from_slice(a),
+        Op::LdImm => val.fill(ins.imm),
+        Op::F2I => map1!(|x| bits_to_f32(x) as u32),
+        Op::I2F => map1!(|x| f32_to_bits(x as f32)),
+        Op::Tid => {
+            for (l, v) in val.iter_mut().enumerate() {
+                *v = t0 + l as u32;
+            }
+        }
+        Op::Ld | Op::St | Op::Jmp | Op::Jz | Op::Jnz | Op::Halt => {
+            unreachable!("{:?} is not a value op", ins.op)
+        }
+    }
+}
+
+/// Fault realization mode for one lockstep strip.
 #[derive(Copy, Clone, Debug)]
 enum LaneFault {
-    /// No polling this batch: either no fault is armed, a transient fault
-    /// targets a dynamic index outside this batch, or this is the probe
+    /// No polling this strip: either no fault is armed, a transient fault
+    /// targets a dynamic index outside this strip, or this is the probe
     /// pass of a transient fault whose index may land here.
     Inert,
     /// Permanent fault: every active lane executing the target opcode is
@@ -355,14 +883,53 @@ enum LaneFault {
     Transient { lane: usize, local_index: u64, fire_index: u64 },
 }
 
-/// Outcome of one lockstep batch.
-enum BatchExit<const L: usize> {
+impl LaneFault {
+    /// Corrupt the value vector of a register-writing step: `on(l)` says
+    /// whether lane `l` executed it and `nth(l)` is that lane's 1-based
+    /// count of executed instructions.
+    #[inline]
+    fn apply(
+        self,
+        fault: &mut Option<FaultState>,
+        op: Op,
+        val: &mut [u32],
+        on: impl Fn(usize) -> bool,
+        nth: impl Fn(usize) -> u64,
+    ) {
+        let Some(f) = fault.as_mut() else { return };
+        match self {
+            LaneFault::Inert => {}
+            LaneFault::Permanent { op: target } => {
+                if op == target {
+                    for (l, v) in val.iter_mut().enumerate() {
+                        if on(l) {
+                            // Permanent polling ignores the dynamic index.
+                            if let Some(m) = f.poll(0, op) {
+                                *v ^= m;
+                            }
+                        }
+                    }
+                }
+            }
+            LaneFault::Transient { lane, local_index, fire_index } => {
+                if lane < val.len() && on(lane) && nth(lane) - 1 == local_index {
+                    if let Some(m) = f.poll(fire_index, op) {
+                        val[lane] ^= m;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Outcome of one lockstep strip.
+#[derive(Copy, Clone)]
+enum StripExit {
     /// Every lane ran to completion without traps or cross-lane conflicts.
-    /// Memory effects are applied; instruction accounting is parked in the
-    /// scratch op log until the caller commits it.
+    /// Memory effects are applied, per-lane instruction counts are in the
+    /// scratch's `executed`, and the op accounting is parked in the scratch
+    /// until the caller commits it.
     Clean {
-        /// Instructions executed per lane (lane order = thread order).
-        per_lane: [u64; L],
         /// Total instructions executed, i.e. the dynamic-counter advance.
         dyn_add: u64,
     },
@@ -376,13 +943,7 @@ enum BatchExit<const L: usize> {
 impl Fabric {
     /// Create a fabric with the given profile.
     pub fn new(profile: Profile) -> Self {
-        Fabric {
-            profile,
-            stats: ExecStats::new(),
-            fault: None,
-            dyn_counter: 0,
-            scratch: LockstepScratch::default(),
-        }
+        Fabric { profile, stats: ExecStats::new(), fault: None, dyn_counter: 0 }
     }
 
     /// The fabric's profile (CPU or GPU).
@@ -459,10 +1020,10 @@ impl Fabric {
     /// memory and observe each other in thread order (the fabric models a
     /// time-multiplexed processor, not a parallel machine).
     ///
-    /// Execution is lockstep-batched over [`LANES`] threads at a time — one
-    /// fetch/decode per batch step instead of one per thread — and is
+    /// Execution runs in lockstep strips of up to 256 threads — one
+    /// fetch/decode per strip step instead of one per thread — and is
     /// bit-identical to [`run_kernel_reference`](Self::run_kernel_reference):
-    /// batches whose lanes touch overlapping memory, trap, or exhaust the
+    /// strips whose lanes touch overlapping memory, trap, or exhaust the
     /// watchdog are rolled back and replayed on the scalar path.
     ///
     /// Returns the total number of instructions executed.
@@ -479,7 +1040,7 @@ impl Fabric {
         args: &[(Reg, u32)],
         budget_per_thread: u64,
     ) -> Result<u64, Trap> {
-        self.run_kernel_lockstep::<LANES>(prog, ctx, n_threads, args, budget_per_thread)
+        self.run_kernel_lockstep(prog, ctx, n_threads, args, budget_per_thread, STRIP)
     }
 
     /// Thread-major scalar kernel launch — the semantic reference for
@@ -488,7 +1049,7 @@ impl Fabric {
     /// Runs every thread to completion through the scalar interpreter in
     /// thread order. The lockstep engine must match this path bit for bit
     /// (registers, memory, traps, statistics, dynamic-instruction counter,
-    /// and fault activations); `lockstep_differential.rs` and the batch
+    /// and fault activations); `lockstep_differential.rs` and the strip
     /// rollback path both rely on it staying exactly as the paper's
     /// time-multiplexed model specifies.
     pub fn run_kernel_reference(
@@ -503,61 +1064,130 @@ impl Fabric {
         self.finish_scalar(prog, ctx, 0, n_threads, args, budget_per_thread, 0)
     }
 
-    /// Lockstep kernel launch with an explicit lane width `L`.
-    ///
-    /// [`run_kernel`](Self::run_kernel) uses `L = LANES`; the differential
-    /// tests sweep `L ∈ {1, 4, 8}`. `L = 1` degenerates to the scalar path.
+    /// Lockstep kernel launch with an explicit strip width, for the
+    /// differential tests that sweep it; [`run_kernel`](Self::run_kernel)
+    /// is the entry point everything else uses. A width of 1 degenerates
+    /// to the scalar path.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] exactly when the reference path would.
-    pub fn run_kernel_lockstep<const L: usize>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `strip` is 0 or wider than the store-owner map (65 536).
+    #[doc(hidden)]
+    pub fn run_kernel_lockstep(
         &mut self,
         prog: &Program,
         ctx: &mut Context,
         n_threads: u32,
         args: &[(Reg, u32)],
         budget_per_thread: u64,
+        strip: usize,
     ) -> Result<u64, Trap> {
-        assert!(L >= 1 && L < MAX_LANE_WIDTH, "unsupported lane width {L}");
+        assert!((1..=MAX_STRIP).contains(&strip), "unsupported strip width {strip}");
         self.stats.record_launch();
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            self.launch_strips(s, prog, ctx, n_threads, args, budget_per_thread, strip)
+        })
+    }
+
+    /// The strip loop of [`run_kernel_lockstep`](Self::run_kernel_lockstep)
+    /// on this thread's scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_strips(
+        &mut self,
+        s: &mut LockstepScratch,
+        prog: &Program,
+        ctx: &mut Context,
+        n_threads: u32,
+        args: &[(Reg, u32)],
+        budget_per_thread: u64,
+        strip: usize,
+    ) -> Result<u64, Trap> {
+        if n_threads >= 2 && strip >= 2 {
+            s.map_registers(prog.instrs());
+        }
         let mut total = 0u64;
         let mut t0 = 0u32;
         while t0 < n_threads {
-            let width = (n_threads - t0).min(L as u32) as usize;
+            let width = (n_threads - t0).min(strip as u32) as usize;
             if width < 2 {
-                // Single-thread batches (tails, 1-thread kernels) take the
+                // Single-thread strips (tails, 1-thread kernels) take the
                 // scalar path directly: it is the reference semantics, and
                 // faults poll live against the true dynamic index.
-                let mut regs = [0u32; NUM_REGS];
-                for &(r, v) in args {
-                    regs[r.idx()] = v;
-                }
-                total += self.exec(prog, &mut regs, &mut ctx.mem, t0, budget_per_thread)?;
+                total =
+                    self.finish_scalar(prog, ctx, t0, t0 + 1, args, budget_per_thread, total)?;
                 t0 += 1;
                 continue;
             }
 
-            let batch_base = self.dyn_counter;
+            let strip_base = self.dyn_counter;
             let snap_fault = self.fault;
             let armed = self.fault.map(|f| f.model());
-            // A transient fault whose dynamic index might land in this batch
+            // A transient fault whose dynamic index might land in this strip
             // cannot be applied while lanes interleave: the scalar index of
             // each write is only known once per-lane instruction counts are.
-            // Run such batches as an unfaulted probe first, then re-run with
+            // Run such strips as an unfaulted probe first, then re-run with
             // the injection pinned to the exact lane and local instruction.
             let (mode, probing) = match armed {
                 None => (LaneFault::Inert, false),
                 Some(FaultModel::Permanent { op, .. }) => (LaneFault::Permanent { op }, false),
                 Some(FaultModel::Transient { instr_index, .. }) => {
-                    (LaneFault::Inert, instr_index >= batch_base)
+                    (LaneFault::Inert, instr_index >= strip_base)
                 }
             };
 
-            match self.exec_batch::<L>(prog, &mut ctx.mem, t0, width, args, budget_per_thread, mode)
+            let mut exit = s.run_strip(
+                &mut self.fault,
+                prog,
+                &mut ctx.mem,
+                t0,
+                width,
+                args,
+                budget_per_thread,
+                mode,
+            );
+            if let (StripExit::Clean { dyn_add }, Some(FaultModel::Transient { instr_index, .. })) =
+                (exit, armed)
             {
-                BatchExit::Abort => {
-                    self.rollback_mem(&mut ctx.mem);
+                if probing && instr_index < strip_base + dyn_add {
+                    // The probe found the target index inside this strip.
+                    // Locate the faulted lane from the probe's per-lane
+                    // counts: in thread order, lanes before it are
+                    // unaffected by the fault, and the faulted lane
+                    // executes identically up to the injection point, so
+                    // the prefix sums are valid.
+                    s.mem.rollback(&mut ctx.mem);
+                    let mut local = instr_index - strip_base;
+                    let mut lane = 0usize;
+                    while lane < width && local >= s.executed[lane] {
+                        local -= s.executed[lane];
+                        lane += 1;
+                    }
+                    let mode =
+                        LaneFault::Transient { lane, local_index: local, fire_index: instr_index };
+                    exit = s.run_strip(
+                        &mut self.fault,
+                        prog,
+                        &mut ctx.mem,
+                        t0,
+                        width,
+                        args,
+                        budget_per_thread,
+                        mode,
+                    );
+                }
+            }
+            match exit {
+                StripExit::Clean { dyn_add } => {
+                    self.commit_strip(&s.op_counts, dyn_add);
+                    total += dyn_add;
+                }
+                StripExit::Abort => {
+                    s.mem.rollback(&mut ctx.mem);
                     self.fault = snap_fault;
                     return self.finish_scalar(
                         prog,
@@ -569,91 +1199,23 @@ impl Fabric {
                         total,
                     );
                 }
-                BatchExit::Clean { per_lane, dyn_add } => {
-                    let refire = match armed {
-                        Some(FaultModel::Transient { instr_index, .. }) => {
-                            probing && instr_index < batch_base + dyn_add
-                        }
-                        _ => false,
-                    };
-                    if !refire {
-                        self.commit_batch(dyn_add);
-                        total += dyn_add;
-                    } else {
-                        let Some(FaultModel::Transient { instr_index, .. }) = armed else {
-                            unreachable!("refire implies an armed transient fault")
-                        };
-                        // The probe found the target index inside this batch.
-                        // Locate the faulted lane from the probe's per-lane
-                        // counts: in thread order, lanes before it are
-                        // unaffected by the fault, and the faulted lane
-                        // executes identically up to the injection point, so
-                        // the prefix sums are valid.
-                        self.rollback_mem(&mut ctx.mem);
-                        let mut local = instr_index - batch_base;
-                        let mut lane = 0usize;
-                        while lane < L && local >= per_lane[lane] {
-                            local -= per_lane[lane];
-                            lane += 1;
-                        }
-                        let mode = LaneFault::Transient {
-                            lane,
-                            local_index: local,
-                            fire_index: instr_index,
-                        };
-                        match self.exec_batch::<L>(
-                            prog,
-                            &mut ctx.mem,
-                            t0,
-                            width,
-                            args,
-                            budget_per_thread,
-                            mode,
-                        ) {
-                            BatchExit::Abort => {
-                                self.rollback_mem(&mut ctx.mem);
-                                self.fault = snap_fault;
-                                return self.finish_scalar(
-                                    prog,
-                                    ctx,
-                                    t0,
-                                    n_threads,
-                                    args,
-                                    budget_per_thread,
-                                    total,
-                                );
-                            }
-                            BatchExit::Clean { dyn_add, .. } => {
-                                self.commit_batch(dyn_add);
-                                total += dyn_add;
-                            }
-                        }
-                    }
-                }
             }
             t0 += width as u32;
         }
         Ok(total)
     }
 
-    /// Fold the current batch's per-op counts into the statistics and
+    /// Fold the current strip's per-op counts into the statistics and
     /// advance the dynamic-instruction counter. Called exactly once per
-    /// committed batch; aborted batches leave both untouched.
-    fn commit_batch(&mut self, dyn_add: u64) {
+    /// committed strip; aborted strips leave both untouched.
+    fn commit_strip(&mut self, op_counts: &[u64; ALL_OPS.len()], dyn_add: u64) {
         for &op in ALL_OPS {
-            let n = self.scratch.op_counts[op.index()];
+            let n = op_counts[op.index()];
             if n > 0 {
                 self.stats.record_n(op, n);
             }
         }
         self.dyn_counter += dyn_add;
-    }
-
-    /// Undo every store of the current batch, newest first.
-    fn rollback_mem(&mut self, mem: &mut [u32]) {
-        while let Some((addr, old)) = self.scratch.undo.pop() {
-            mem[addr as usize] = old;
-        }
     }
 
     /// Run threads `t0..n_threads` through the scalar interpreter in thread
@@ -678,639 +1240,6 @@ impl Fabric {
             total += self.exec(prog, &mut regs, &mut ctx.mem, t, budget_per_thread)?;
         }
         Ok(total)
-    }
-
-    /// Execute one batch of `width` threads (`t0..t0+width`) in lockstep.
-    ///
-    /// One instruction is fetched and decoded per step and applied across
-    /// all active lanes of a lane-major register file. Divergence is
-    /// handled by a min-pc reconvergence mask: each step executes the
-    /// smallest program counter among live lanes, so lanes that branched
-    /// apart rejoin at the earliest common point. Cross-lane memory
-    /// conflicts, traps, and watchdog exhaustion abort the batch — the
-    /// caller rolls back and replays on the scalar path, which keeps the
-    /// committed fast path bit-identical to thread-major execution.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_batch<const L: usize>(
-        &mut self,
-        prog: &Program,
-        mem: &mut [u32],
-        t0: u32,
-        width: usize,
-        args: &[(Reg, u32)],
-        budget: u64,
-        mode: LaneFault,
-    ) -> BatchExit<L> {
-        /// What a batch step does after its value vector is computed.
-        enum Step {
-            /// Masked register writeback, then advance pc.
-            Write,
-            /// Advance pc only (stores).
-            Advance,
-            /// Control flow already updated pc / liveness (branches, halt).
-            Control,
-        }
-
-        self.scratch.begin_batch(mem.len());
-        let instrs = prog.instrs();
-        let plen = instrs.len();
-
-        // Lane-major register file: regs[r][lane].
-        let mut regs = [[0u32; L]; NUM_REGS];
-        for &(r, v) in args {
-            regs[r.idx()] = [v; L];
-        }
-        let mut pc = [0u32; L];
-        let mut executed = [0u64; L];
-        let mut live = [false; L];
-        live[..width].fill(true);
-        let mut dyn_add = 0u64;
-
-        // --- Converged fast path -----------------------------------------
-        //
-        // Until a conditional branch splits them, lanes `0..width` march
-        // through a single shared pc: one fetch, one budget compare, one
-        // accounting add per step, value loops over all `L` lanes with an
-        // unconditional writeback (dead lanes `width..L` hold garbage no one
-        // reads). This is the steady state for the agent's straight-line and
-        // uniform-loop kernels; only genuinely divergent batches pay for the
-        // masked min-pc machinery below.
-        let mut cpc = 0usize;
-        let mut cexec = 0u64;
-        let nw = width as u64;
-        'fast: loop {
-            if cpc >= plen {
-                // Falling off the end is an implicit halt with no budget
-                // check, exactly as in the scalar interpreter.
-                let mut per_lane = [0u64; L];
-                per_lane[..width].fill(cexec);
-                return BatchExit::Clean { per_lane, dyn_add };
-            }
-            let ins = instrs[cpc];
-            if cexec >= budget {
-                // The scalar path raises Watchdog here.
-                return BatchExit::Abort;
-            }
-            cexec += 1;
-            self.scratch.op_counts[ins.op.index()] += nw;
-            dyn_add += nw;
-
-            let ai = ins.a.idx();
-            let bi = ins.b.idx();
-            let mut val = [0u32; L];
-
-            macro_rules! fop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l]), bits_to_f32(b[l])));
-                    }
-                }};
-            }
-            macro_rules! fop1 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l])));
-                    }
-                }};
-            }
-            macro_rules! iop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = $f(a[l], b[l]);
-                    }
-                }};
-            }
-
-            match ins.op {
-                Op::FAdd => fop2!(|x: f32, y: f32| x + y),
-                Op::FSub => fop2!(|x: f32, y: f32| x - y),
-                Op::FMul => fop2!(|x: f32, y: f32| x * y),
-                Op::FDiv => fop2!(|x: f32, y: f32| x / y),
-                Op::FMin => fop2!(|x: f32, y: f32| x.min(y)),
-                Op::FMax => fop2!(|x: f32, y: f32| x.max(y)),
-                Op::FAbs => fop1!(|x: f32| x.abs()),
-                Op::FNeg => fop1!(|x: f32| -x),
-                Op::FSqrt => fop1!(|x: f32| x.sqrt()),
-                Op::FFma => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(
-                            bits_to_f32(a[l]).mul_add(bits_to_f32(b[l]), bits_to_f32(c[l])),
-                        );
-                    }
-                }
-                Op::IAdd => iop2!(|x: u32, y: u32| x.wrapping_add(y)),
-                Op::ISub => iop2!(|x: u32, y: u32| x.wrapping_sub(y)),
-                Op::IMul => iop2!(|x: u32, y: u32| x.wrapping_mul(y)),
-                Op::IAnd => iop2!(|x: u32, y: u32| x & y),
-                Op::IOr => iop2!(|x: u32, y: u32| x | y),
-                Op::IXor => iop2!(|x: u32, y: u32| x ^ y),
-                Op::IShl => iop2!(|x: u32, y: u32| x << (y & 31)),
-                Op::IShr => iop2!(|x: u32, y: u32| x >> (y & 31)),
-                Op::FLt => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) < bits_to_f32(b[l])) as u32;
-                    }
-                }
-                Op::FLe => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) <= bits_to_f32(b[l])) as u32;
-                    }
-                }
-                Op::ILt => iop2!(|x: u32, y: u32| (x < y) as u32),
-                Op::IEq => iop2!(|x: u32, y: u32| (x == y) as u32),
-                Op::Sel => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = if a[l] != 0 { b[l] } else { c[l] };
-                    }
-                }
-                Op::Mov => val = regs[ai],
-                Op::LdImm => val = [ins.imm; L],
-                Op::Ld => {
-                    let a = regs[ai];
-                    let mut uniform = true;
-                    for &w in a.iter().take(width).skip(1) {
-                        uniform &= w == a[0];
-                    }
-                    if uniform {
-                        // Every lane reads the same word (shared weights,
-                        // uniform tables): one bounds check, one conflict
-                        // probe, one broadcast. Any same-batch store to the
-                        // word aborts — with ≥ 2 lanes reading it is a
-                        // guaranteed cross-lane conflict, with one lane it
-                        // is merely conservative.
-                        let addr = a[0].wrapping_add(ins.imm);
-                        let idx = addr as usize;
-                        let Some(&w) = mem.get(idx) else {
-                            // Scalar path raises OutOfBounds { addr }.
-                            return BatchExit::Abort;
-                        };
-                        let s = &mut self.scratch;
-                        if !s.undo.is_empty() && s.store_map[idx] >> 8 == s.epoch as u64 {
-                            return BatchExit::Abort;
-                        }
-                        s.note_uniform_load(idx);
-                        val = [w; L];
-                    } else {
-                        // Hoisted bounds check: one max over the lane
-                        // addresses replaces a branch per lane. An abort on
-                        // any out-of-range lane replays scalar, which raises
-                        // the exact per-lane OutOfBounds trap.
-                        let mut addrs = [0u32; L];
-                        let mut maxa = 0u32;
-                        let mut mina = u32::MAX;
-                        for l in 0..L {
-                            addrs[l] = a[l].wrapping_add(ins.imm);
-                        }
-                        for &ad in addrs.iter().take(width) {
-                            maxa = maxa.max(ad);
-                            mina = mina.min(ad);
-                        }
-                        if maxa as usize >= mem.len() {
-                            return BatchExit::Abort;
-                        }
-                        self.scratch.note_load_range(mina as usize, maxa as usize);
-                        if self.scratch.undo.is_empty() {
-                            // No stores in this batch yet, so the store map
-                            // holds no live entries: the loads cannot
-                            // conflict and cost no probe at all.
-                            for (l, v) in val.iter_mut().enumerate().take(width) {
-                                *v = mem[addrs[l] as usize];
-                            }
-                        } else {
-                            for (l, v) in val.iter_mut().enumerate().take(width) {
-                                let idx = addrs[l] as usize;
-                                if self.scratch.load_conflicts(idx, l as u8) {
-                                    return BatchExit::Abort;
-                                }
-                                *v = mem[idx];
-                            }
-                        }
-                    }
-                }
-                Op::St => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..width {
-                        let addr = a[l].wrapping_add(ins.imm);
-                        let idx = addr as usize;
-                        if idx >= mem.len() {
-                            // Scalar path raises OutOfBounds { addr }.
-                            return BatchExit::Abort;
-                        }
-                        if !self.scratch.note_store(idx, l as u8) {
-                            return BatchExit::Abort;
-                        }
-                        self.scratch.undo.push((addr, mem[idx]));
-                        mem[idx] = b[l];
-                    }
-                    cpc += 1;
-                    continue 'fast;
-                }
-                Op::Jmp => {
-                    if ins.imm as usize > plen {
-                        // Scalar path raises InvalidTarget.
-                        return BatchExit::Abort;
-                    }
-                    cpc = ins.imm as usize;
-                    continue 'fast;
-                }
-                Op::Jz | Op::Jnz => {
-                    let a = regs[ai];
-                    let want_zero = ins.op == Op::Jz;
-                    let first = (a[0] == 0) == want_zero;
-                    let mut split = false;
-                    for &w in a.iter().take(width).skip(1) {
-                        split |= ((w == 0) == want_zero) != first;
-                    }
-                    if !split {
-                        if first {
-                            if ins.imm as usize > plen {
-                                // Scalar path raises InvalidTarget.
-                                return BatchExit::Abort;
-                            }
-                            cpc = ins.imm as usize;
-                        } else {
-                            cpc += 1;
-                        }
-                        continue 'fast;
-                    }
-                    // Lanes split here: materialize per-lane pcs and fall
-                    // through to the masked min-pc loop for the rest of the
-                    // batch.
-                    for l in 0..width {
-                        if (a[l] == 0) == want_zero {
-                            if ins.imm as usize > plen {
-                                return BatchExit::Abort;
-                            }
-                            pc[l] = ins.imm;
-                        } else {
-                            pc[l] = cpc as u32 + 1;
-                        }
-                    }
-                    executed[..width].fill(cexec);
-                    break 'fast;
-                }
-                Op::F2I => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = bits_to_f32(a[l]) as u32;
-                    }
-                }
-                Op::I2F => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(a[l] as f32);
-                    }
-                }
-                Op::Tid => {
-                    for (l, v) in val.iter_mut().enumerate() {
-                        *v = t0 + l as u32;
-                    }
-                }
-                Op::Halt => {
-                    let mut per_lane = [0u64; L];
-                    per_lane[..width].fill(cexec);
-                    return BatchExit::Clean { per_lane, dyn_add };
-                }
-            }
-
-            // Fault realization with the implicit all-active mask: the
-            // permanent poll corrupts every lane's matching write (as every
-            // scalar dynamic instance would be), the transient pass fires on
-            // the one lane-local write the scalar stream indexes.
-            match mode {
-                LaneFault::Inert => {}
-                LaneFault::Permanent { op } => {
-                    if op == ins.op {
-                        for v in val.iter_mut().take(width) {
-                            if let Some(f) = self.fault.as_mut() {
-                                // Permanent polling ignores the dynamic index.
-                                if let Some(m) = f.poll(0, ins.op) {
-                                    *v ^= m;
-                                }
-                            }
-                        }
-                    }
-                }
-                LaneFault::Transient { lane, local_index, fire_index } => {
-                    if lane < width && cexec - 1 == local_index {
-                        if let Some(f) = self.fault.as_mut() {
-                            if let Some(m) = f.poll(fire_index, ins.op) {
-                                val[lane] ^= m;
-                            }
-                        }
-                    }
-                }
-            }
-            regs[ins.dst.idx()] = val;
-            cpc += 1;
-        }
-
-        loop {
-            // Reconvergence point: the minimum pc among live lanes.
-            let mut pc_cur = u32::MAX;
-            for l in 0..L {
-                if live[l] && pc[l] < pc_cur {
-                    pc_cur = pc[l];
-                }
-            }
-            if pc_cur == u32::MAX {
-                break;
-            }
-            if pc_cur as usize >= plen {
-                // Falling off the end is an implicit halt with no budget
-                // check, exactly as in the scalar interpreter.
-                for l in 0..L {
-                    if live[l] && pc[l] == pc_cur {
-                        live[l] = false;
-                    }
-                }
-                continue;
-            }
-            let ins = instrs[pc_cur as usize];
-
-            let mut active = [false; L];
-            let mut n_active = 0u64;
-            for l in 0..L {
-                let on = live[l] && pc[l] == pc_cur;
-                active[l] = on;
-                n_active += on as u64;
-            }
-            for l in 0..L {
-                if active[l] && executed[l] >= budget {
-                    // The scalar path raises Watchdog here.
-                    return BatchExit::Abort;
-                }
-            }
-            for l in 0..L {
-                executed[l] += active[l] as u64;
-            }
-            self.scratch.op_counts[ins.op.index()] += n_active;
-            dyn_add += n_active;
-
-            let ai = ins.a.idx();
-            let bi = ins.b.idx();
-            let next = pc_cur + 1;
-            let mut val = [0u32; L];
-
-            // Value vectors are computed branch-free over all L lanes —
-            // inactive lanes produce garbage that the masked writeback
-            // discards — so the per-lane loops autovectorize.
-            macro_rules! fop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l]), bits_to_f32(b[l])));
-                    }
-                    Step::Write
-                }};
-            }
-            macro_rules! fop1 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l])));
-                    }
-                    Step::Write
-                }};
-            }
-            macro_rules! iop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = $f(a[l], b[l]);
-                    }
-                    Step::Write
-                }};
-            }
-
-            let step = match ins.op {
-                Op::FAdd => fop2!(|x: f32, y: f32| x + y),
-                Op::FSub => fop2!(|x: f32, y: f32| x - y),
-                Op::FMul => fop2!(|x: f32, y: f32| x * y),
-                Op::FDiv => fop2!(|x: f32, y: f32| x / y),
-                Op::FMin => fop2!(|x: f32, y: f32| x.min(y)),
-                Op::FMax => fop2!(|x: f32, y: f32| x.max(y)),
-                Op::FAbs => fop1!(|x: f32| x.abs()),
-                Op::FNeg => fop1!(|x: f32| -x),
-                Op::FSqrt => fop1!(|x: f32| x.sqrt()),
-                Op::FFma => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(
-                            bits_to_f32(a[l]).mul_add(bits_to_f32(b[l]), bits_to_f32(c[l])),
-                        );
-                    }
-                    Step::Write
-                }
-                Op::IAdd => iop2!(|x: u32, y: u32| x.wrapping_add(y)),
-                Op::ISub => iop2!(|x: u32, y: u32| x.wrapping_sub(y)),
-                Op::IMul => iop2!(|x: u32, y: u32| x.wrapping_mul(y)),
-                Op::IAnd => iop2!(|x: u32, y: u32| x & y),
-                Op::IOr => iop2!(|x: u32, y: u32| x | y),
-                Op::IXor => iop2!(|x: u32, y: u32| x ^ y),
-                Op::IShl => iop2!(|x: u32, y: u32| x << (y & 31)),
-                Op::IShr => iop2!(|x: u32, y: u32| x >> (y & 31)),
-                Op::FLt => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) < bits_to_f32(b[l])) as u32;
-                    }
-                    Step::Write
-                }
-                Op::FLe => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) <= bits_to_f32(b[l])) as u32;
-                    }
-                    Step::Write
-                }
-                Op::ILt => iop2!(|x: u32, y: u32| (x < y) as u32),
-                Op::IEq => iop2!(|x: u32, y: u32| (x == y) as u32),
-                Op::Sel => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = if a[l] != 0 { b[l] } else { c[l] };
-                    }
-                    Step::Write
-                }
-                Op::Mov => {
-                    val = regs[ai];
-                    Step::Write
-                }
-                Op::LdImm => {
-                    val = [ins.imm; L];
-                    Step::Write
-                }
-                Op::Ld => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        if active[l] {
-                            let addr = a[l].wrapping_add(ins.imm);
-                            let idx = addr as usize;
-                            let Some(&w) = mem.get(idx) else {
-                                // Scalar path raises OutOfBounds { addr }.
-                                return BatchExit::Abort;
-                            };
-                            if !self.scratch.undo.is_empty()
-                                && self.scratch.load_conflicts(idx, l as u8)
-                            {
-                                return BatchExit::Abort;
-                            }
-                            self.scratch.note_load_range(idx, idx);
-                            val[l] = w;
-                        }
-                    }
-                    Step::Write
-                }
-                Op::St => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        if active[l] {
-                            let addr = a[l].wrapping_add(ins.imm);
-                            let idx = addr as usize;
-                            if idx >= mem.len() {
-                                // Scalar path raises OutOfBounds { addr }.
-                                return BatchExit::Abort;
-                            }
-                            if !self.scratch.note_store(idx, l as u8) {
-                                return BatchExit::Abort;
-                            }
-                            self.scratch.undo.push((addr, mem[idx]));
-                            mem[idx] = b[l];
-                        }
-                    }
-                    Step::Advance
-                }
-                Op::Jmp | Op::Jz | Op::Jnz => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        if active[l] {
-                            let taken = match ins.op {
-                                Op::Jmp => true,
-                                Op::Jz => a[l] == 0,
-                                _ => a[l] != 0,
-                            };
-                            if taken {
-                                if ins.imm as usize > plen {
-                                    // Scalar path raises InvalidTarget.
-                                    return BatchExit::Abort;
-                                }
-                                pc[l] = ins.imm;
-                            } else {
-                                pc[l] = next;
-                            }
-                        }
-                    }
-                    Step::Control
-                }
-                Op::F2I => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = bits_to_f32(a[l]) as u32;
-                    }
-                    Step::Write
-                }
-                Op::I2F => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(a[l] as f32);
-                    }
-                    Step::Write
-                }
-                Op::Tid => {
-                    for (l, v) in val.iter_mut().enumerate() {
-                        *v = t0 + l as u32;
-                    }
-                    Step::Write
-                }
-                Op::Halt => {
-                    for l in 0..L {
-                        if active[l] {
-                            live[l] = false;
-                        }
-                    }
-                    Step::Control
-                }
-            };
-
-            match step {
-                Step::Write => {
-                    // Fault realization is lane-exact: a permanent fault
-                    // corrupts every active lane's matching write (as every
-                    // scalar dynamic instance would be corrupted), while a
-                    // transient pass corrupts exactly the one lane-local
-                    // write the scalar stream indexes.
-                    match mode {
-                        LaneFault::Inert => {}
-                        LaneFault::Permanent { op } => {
-                            if op == ins.op {
-                                for l in 0..L {
-                                    if active[l] {
-                                        if let Some(f) = self.fault.as_mut() {
-                                            // Permanent polling ignores the
-                                            // dynamic index.
-                                            if let Some(m) = f.poll(0, ins.op) {
-                                                val[l] ^= m;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        LaneFault::Transient { lane, local_index, fire_index } => {
-                            if active[lane] && executed[lane] - 1 == local_index {
-                                if let Some(f) = self.fault.as_mut() {
-                                    if let Some(m) = f.poll(fire_index, ins.op) {
-                                        val[lane] ^= m;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let di = ins.dst.idx();
-                    for l in 0..L {
-                        if active[l] {
-                            regs[di][l] = val[l];
-                            pc[l] = next;
-                        }
-                    }
-                }
-                Step::Advance => {
-                    for l in 0..L {
-                        if active[l] {
-                            pc[l] = next;
-                        }
-                    }
-                }
-                Step::Control => {}
-            }
-        }
-        BatchExit::Clean { per_lane: executed, dyn_add }
     }
 
     #[inline(always)]
@@ -1933,13 +1862,7 @@ mod tests {
         for width in [1usize, 4, 8, 16] {
             let mut f = Fabric::new(Profile::Gpu);
             let mut ctx = f.new_context(64);
-            match width {
-                1 => f.run_kernel_lockstep::<1>(&prog, &mut ctx, 11, &[], 10_000),
-                4 => f.run_kernel_lockstep::<4>(&prog, &mut ctx, 11, &[], 10_000),
-                8 => f.run_kernel_lockstep::<8>(&prog, &mut ctx, 11, &[], 10_000),
-                _ => f.run_kernel_lockstep::<16>(&prog, &mut ctx, 11, &[], 10_000),
-            }
-            .unwrap();
+            f.run_kernel_lockstep(&prog, &mut ctx, 11, &[], 10_000, width).unwrap();
             assert_eq!(ctx, ctx_ref, "width {width} diverged");
             assert_eq!(f.stats(), f_ref.stats(), "width {width} stats diverged");
         }

@@ -7,8 +7,13 @@
 //! vendors this shim via a path dependency. Unlike real proptest there is
 //! no shrinking and no persistence of failing cases: each test runs a
 //! fixed number of deterministically seeded cases (default 32, override
-//! with `PROPTEST_CASES`), and a failing case panics with the case index
-//! and the sampled inputs' debug representation where available.
+//! with `PROPTEST_CASES`), and a failing case panics with the case index,
+//! the run seed and the failed assertion.
+//!
+//! `PROPTEST_SEED` rotates the cases: any string (CI passes the commit
+//! hash) is mixed into every case's generator, so each seed explores new
+//! inputs. Unset, the cases are the fixed default ones; to replay a
+//! failure, rerun with the `PROPTEST_SEED` its panic message names.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -233,12 +238,28 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 }
 
-/// Deterministic per-(test, case) generator: no entropy, no persistence.
-pub fn case_rng(test_name: &str, case: u32) -> StdRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in test_name.bytes() {
+/// The run seed: `PROPTEST_SEED`, trimmed, if set and non-empty.
+pub fn env_seed() -> Option<String> {
+    std::env::var("PROPTEST_SEED").ok().map(|s| s.trim().to_string()).filter(|s| !s.is_empty())
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Deterministic per-(test, case) generator under a run seed (see
+/// [`env_seed`]): no entropy, no persistence. `None` gives the fixed
+/// default cases; any seed string gives a different, equally deterministic
+/// set.
+pub fn case_rng(test_name: &str, case: u32, seed: Option<&str>) -> StdRng {
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, test_name.as_bytes());
+    if let Some(seed) = seed {
+        h = fnv1a(h ^ 0xff, seed.as_bytes());
     }
     StdRng::seed_from_u64(h ^ ((case as u64) << 32 | 0x5eed))
 }
@@ -255,8 +276,10 @@ macro_rules! proptest {
         $(#[$meta])*
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $config;
+            let seed = $crate::env_seed();
             for case in 0..config.cases {
-                let mut proptest_case_rng = $crate::case_rng(stringify!($name), case);
+                let mut proptest_case_rng =
+                    $crate::case_rng(stringify!($name), case, seed.as_deref());
                 $(
                     let $arg = $crate::strategy::Strategy::sample(
                         &($strat),
@@ -266,7 +289,11 @@ macro_rules! proptest {
                 let result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                     (|| { $body ::std::result::Result::Ok(()) })();
                 if let ::std::result::Result::Err(e) = result {
-                    panic!("proptest case {case} of {}: {e}", stringify!($name));
+                    panic!(
+                        "proptest case {case} of {} (PROPTEST_SEED={}): {e}",
+                        stringify!($name),
+                        seed.as_deref().unwrap_or("unset"),
+                    );
                 }
             }
         }
@@ -351,11 +378,24 @@ mod tests {
     }
 
     #[test]
+    fn seeds_rotate_cases_reproducibly() {
+        use crate::strategy::Strategy;
+        let s = 0u64..u64::MAX;
+        let draw = |seed: Option<&str>| -> Vec<u64> {
+            (0..8).map(|c| s.sample(&mut crate::case_rng("t", c, seed))).collect()
+        };
+        assert_eq!(draw(None), draw(None));
+        assert_eq!(draw(Some("abc123")), draw(Some("abc123")));
+        assert_ne!(draw(None), draw(Some("abc123")));
+        assert_ne!(draw(Some("abc123")), draw(Some("abc124")));
+    }
+
+    #[test]
     fn cases_are_deterministic() {
         use crate::strategy::Strategy;
         let s = 0u64..1000;
-        let a: Vec<u64> = (0..5).map(|c| s.sample(&mut crate::case_rng("t", c))).collect();
-        let b: Vec<u64> = (0..5).map(|c| s.sample(&mut crate::case_rng("t", c))).collect();
+        let a: Vec<u64> = (0..5).map(|c| s.sample(&mut crate::case_rng("t", c, None))).collect();
+        let b: Vec<u64> = (0..5).map(|c| s.sample(&mut crate::case_rng("t", c, None))).collect();
         assert_eq!(a, b);
     }
 }
