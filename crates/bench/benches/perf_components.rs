@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the performance-critical components:
-//! fabric interpreter throughput, camera rasterization, full agent
-//! inference, world stepping, and detector updates.
+//! fabric interpreter throughput, camera rasterization and bit diffing,
+//! full agent inference, world stepping, and detector updates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use diverseav::{
@@ -8,10 +8,12 @@ use diverseav::{
     TrainSample, VehState,
 };
 use diverseav_agent::{AgentConfig, SensorimotorAgent};
+use diverseav_analysis::pixel_bit_diffs;
 use diverseav_fabric::{Context, Fabric, Profile, ProgramBuilder, Reg};
 use diverseav_runtime::{PolicyDriver, SimLoop};
 use diverseav_simworld::{
-    lead_slowdown, lidar_scan_into, render_camera, Controls, RenderScene, SensorConfig, World,
+    lead_slowdown, lidar_scan_into, render_camera, render_camera_into, Controls, Image,
+    RenderScene, SensorConfig, World,
 };
 
 /// Straight-line float pipeline for raw interpreter throughput.
@@ -73,21 +75,35 @@ fn kernel_launch(c: &mut Criterion) {
     group.finish();
 }
 
-/// One camera render of a populated scene.
+/// The three-camera render of a populated scene into reused images (the
+/// allocation-free form `World::sense_into` runs every tick), and the
+/// Fig 5b per-pixel bit diff of two consecutive center frames.
 fn camera_render(c: &mut Criterion) {
     let world = World::new(lead_slowdown(), SensorConfig::default(), 7);
     let cfg = SensorConfig::default();
-    c.bench_function("sensors/render_camera_64x48", |bench| {
+    let scene = |frame_seed| RenderScene {
+        track: &world.scenario().track,
+        ego: world.ego_state().pose,
+        ego_s: world.ego_s(),
+        npcs: world.npcs(),
+        frame_seed,
+    };
+    let mut group = c.benchmark_group("sensors");
+    group.throughput(Throughput::Elements(3));
+    group.bench_function("render_camera_64x48", |bench| {
+        let mut images = [Image::new(0, 0), Image::new(0, 0), Image::new(0, 0)];
         bench.iter(|| {
-            let scene = RenderScene {
-                track: &world.scenario().track,
-                ego: world.ego_state().pose,
-                ego_s: world.ego_s(),
-                npcs: world.npcs(),
-                frame_seed: 1234,
-            };
-            render_camera(&cfg, &scene, 1)
+            let scene = scene(1234);
+            for (cam, img) in images.iter_mut().enumerate() {
+                render_camera_into(&cfg, &scene, cam, img);
+            }
         });
+    });
+    group.finish();
+    let a = render_camera(&cfg, &scene(1234), 1);
+    let b = render_camera(&cfg, &scene(1235), 1);
+    c.bench_function("sensors/pixel_bit_diffs_64x48", |bench| {
+        bench.iter(|| pixel_bit_diffs(&a, &b));
     });
 }
 

@@ -167,6 +167,11 @@ impl LoopDriver for Ads {
 
 /// A perfect-knowledge policy driver: actuation from ground-truth world
 /// state (violation baselines, ground-truth comparison studies).
+///
+/// It keeps the default [`LoopDriver::camera_demand`] of the full camera
+/// suite on purpose: observers of its loops (the Fig 5b bit-diversity
+/// drives) read every camera without declaring a demand of their own, so
+/// narrowing it would hand them 0×0 images.
 pub struct PolicyDriver<F: FnMut(&World) -> Controls>(pub F);
 
 impl<F: FnMut(&World) -> Controls> LoopDriver for PolicyDriver<F> {

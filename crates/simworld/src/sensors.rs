@@ -20,29 +20,82 @@ use crate::geometry::{Pose, Vec2};
 use crate::npc::Npc;
 use crate::track::{Track, LANE_WIDTH};
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Per-thread row buffers for [`render_camera_into`]. The rasterizer
-/// stages raw noise hashes (`4 * w` words, channel 3 is padding), the
-/// per-channel pixel noise derived from them, and unquantized channel
-/// values (`3 * w`) as flat rows, so the noise hashing, the hash→amplitude
-/// conversion, and the final quantize are stride-1 loops the
-/// autovectorizer runs wide.
-#[derive(Default)]
+/// One vehicle's screen-space paint, resolved before any pixel is written.
+struct VehicleBox {
+    /// View depth (m) along the camera axis: the draw-order key.
+    depth: f64,
+    /// Index into the scene's NPCs: the draw-order tie-break.
+    index: usize,
+    x0: usize,
+    x1: usize,
+    y0: usize,
+    y1: usize,
+    /// Distance-faded paint color.
+    base: [f64; 3],
+    /// Body texture of the 4×4 panels, indexed `[u][v]`.
+    panel: [[f64; 4]; 4],
+}
+
+/// A noise-key table (see [`NOISE_KEYS`]) tagged with its resolution
+/// `(w, h)`.
+type NoiseKeys = ((usize, usize), Arc<[u64]>);
+
+/// Per-thread buffers for [`render_camera_into`]: the shared noise-key
+/// table of the current resolution, one row of pre-noise channel values
+/// and one row of per-frame noise hashes (`3 * w` each, flat), and the
+/// frame's visible vehicles in draw order. All retain capacity between
+/// frames, so the campaign hot path stays allocation-free in steady state.
 struct RenderScratch {
+    keys: Option<NoiseKeys>,
+    pre: Vec<f64>,
     hashes: Vec<u64>,
-    noise: Vec<f64>,
-    vals: Vec<f64>,
+    boxes: Vec<VehicleBox>,
 }
 
 thread_local! {
     /// Scratch reused across renders and scans on this thread: the
-    /// rasterizer row buffers and the flattened NPC footprint segments of
-    /// one LiDAR scan. Both retain capacity between frames, so the
-    /// campaign hot path stays allocation-free in steady state.
+    /// rasterizer buffers and the flattened NPC footprint segments of one
+    /// LiDAR scan.
     static RENDER_SCRATCH: RefCell<RenderScratch> = const {
-        RefCell::new(RenderScratch { hashes: Vec::new(), noise: Vec::new(), vals: Vec::new() })
+        RefCell::new(RenderScratch {
+            keys: None,
+            pre: Vec::new(),
+            hashes: Vec::new(),
+            boxes: Vec::new(),
+        })
     };
     static SEGMENTS: RefCell<Vec<(Vec2, Vec2)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Process-wide noise-key tables, one per resolution `(w, h)`.
+///
+/// The pixel noise of channel `ch` at `(px, py)` is
+/// `mix(noise_key ^ mix((px * 4 + ch) * 4096 + py))`; the inner hash does
+/// not depend on the frame, so it is computed once per resolution and
+/// shared read-only by every thread (the campaign engine spawns fresh
+/// worker threads per call, so per-thread copies would be rebuilt and
+/// held many times over). Layout is row-major `[py][px][ch]`, `ch < 3`,
+/// matching the image bytes.
+static NOISE_KEYS: Mutex<Vec<NoiseKeys>> = Mutex::new(Vec::new());
+
+/// The shared noise-key table for a `w × h` image, built on first use.
+fn noise_keys(w: usize, h: usize) -> Arc<[u64]> {
+    // Entries are pushed only once complete, so a poisoned list is valid.
+    let mut tables = NOISE_KEYS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, keys)) = tables.iter().find(|(dims, _)| *dims == (w, h)) {
+        return Arc::clone(keys);
+    }
+    // An exact-size iterator, so the table is allocated once, in place.
+    let keys: Arc<[u64]> = (0..3 * w * h)
+        .map(|i| {
+            let (py, px, ch) = (i / (3 * w), i % (3 * w) / 3, i % 3);
+            mix(((px * 4 + ch) * 4096 + py) as u64)
+        })
+        .collect();
+    tables.push(((w, h), Arc::clone(&keys)));
+    keys
 }
 
 /// An 8-bit RGB image.
@@ -333,6 +386,14 @@ pub fn render_camera(cfg: &SensorConfig, scene: &RenderScene<'_>, cam: usize) ->
 /// (same resolution every frame) it performs no heap allocation, which
 /// is what makes the campaign hot path allocation-free under the
 /// `SimLoop` frame-buffer pool.
+///
+/// One pass per row: the row's pre-noise channel values are staged first
+/// (sky or textured ground, then every vehicle box crossing the row, far
+/// to near), and only then is each channel's noise hashed and the value
+/// quantized, once. Every channel byte is `quantize(pre + n)` with `n` a
+/// function of the frame, camera, pixel and channel alone, so the last
+/// vehicle painted over a pixel decides its byte exactly as if each layer
+/// had been quantized in turn.
 pub fn render_camera_into(
     cfg: &SensorConfig,
     scene: &RenderScene<'_>,
@@ -354,202 +415,138 @@ pub fn render_camera_into(
     let noise_key = scene.frame_seed ^ ((cam as u64) << 56);
     let noise_amp = cfg.pixel_noise * 2.0;
 
-    // --- ground & sky ---
     RENDER_SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        s.hashes.resize(4 * w, 0);
-        s.noise.resize(4 * w, 0.0);
-        s.vals.resize(3 * w, 0.0);
-        let RenderScratch { hashes, noise, vals } = s;
-        let (hash_row, noise_row, vals_row) =
-            (&mut hashes[..4 * w], &mut noise[..4 * w], &mut vals[..3 * w]);
+        if !matches!(&s.keys, Some((dims, _)) if *dims == (w, h)) {
+            s.keys = Some(((w, h), noise_keys(w, h)));
+        }
+        let RenderScratch { keys, pre, hashes, boxes } = s;
+        let keys = keys.as_ref().map(|(_, k)| &**k).expect("noise keys for this resolution");
+        pre.resize(3 * w, 0.0);
+        hashes.resize(3 * w, 0);
+
+        // --- vehicles: screen boxes in draw order (far to near, ties by
+        // index) ---
+        // Room for every NPC up front: the first frame sizes the buffer,
+        // whenever the NPCs come into view.
+        boxes.clear();
+        boxes.reserve(scene.npcs.len());
+        for (i, npc) in scene.npcs.iter().enumerate() {
+            let rel = npc.pose(scene.track).pos - cam_pos;
+            let f = fwd.dot(rel);
+            let l = left.dot(rel);
+            if !(1.5..=95.0).contains(&f) {
+                continue;
+            }
+            let px_center = cx - fx * l / f;
+            let py_bottom = cy + fy * cfg.cam_height / f;
+            let width_px = fx * npc.width / f;
+            let height_px = fy * 1.45 / f;
+            let x0 = (px_center - width_px / 2.0).floor().max(0.0) as usize;
+            let x1 = (px_center + width_px / 2.0).ceil().min(w as f64) as usize;
+            let y1 = py_bottom.min(h as f64).max(0.0) as usize;
+            let y0 = (py_bottom - height_px).floor().max(0.0) as usize;
+            if x0 >= x1 || y0 >= y1 {
+                continue;
+            }
+            // Vehicle paint: strongly blue signature, shaded by distance
+            // and paint variety (the perception kernel keys on blueness).
+            let fade = 1.0 / (1.0 + 0.006 * f);
+            let shade = npc.shade as f64 * 10.0;
+            let base =
+                [(38.0 + shade) * fade, (42.0 + shade) * fade, (205.0 + shade).min(235.0) * fade];
+            // Texture anchored to the vehicle body (4×4 panels) so the
+            // pattern shifts with the projected box.
+            let mut panel = [[0.0f64; 4]; 4];
+            for (u, col) in panel.iter_mut().enumerate() {
+                for (v, t) in col.iter_mut().enumerate() {
+                    *t = hash_amp(0xCAFE ^ (i as u64) << 8, (u as u64) * 16 + v as u64) * 14.0;
+                }
+            }
+            boxes.push(VehicleBox { depth: f, index: i, x0, x1, y0, y1, base, panel });
+        }
+        // Visible depths are finite, so this total order is the stable
+        // descending depth sort.
+        boxes.sort_unstable_by(|a, b| b.depth.total_cmp(&a.depth).then(a.index.cmp(&b.index)));
+
         for py in 0..h {
-            // The noise key `(px * 4 + ch) * 4096 + py` is affine in
-            // `k = px * 4 + ch`, so hashing the whole row as one flat strip
-            // (the `ch = 3` slot is padding) turns the per-pixel hash
-            // chains into a single autovectorizable pass. Two passes —
-            // integer hashes, then hash→amplitude conversion — keep each
-            // loop body in one vector domain.
-            for (k, slot) in hash_row.iter_mut().enumerate() {
-                *slot = mix(noise_key ^ mix((k * 4096 + py) as u64));
-            }
-            for (slot, &hv) in noise_row.iter_mut().zip(hash_row.iter()) {
-                *slot = ((hv >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * noise_amp;
-            }
-            let row = &mut img.data[py * w * 3..][..w * 3];
+            // --- stage: sky or ground ---
             let yf = py as f64 + 0.5;
             if yf <= cy + 0.5 {
                 // Sky: vertical gradient, slightly blue-gray.
                 let t = yf / cy;
                 let base = [120.0 + 50.0 * t, 135.0 + 40.0 * t, 150.0 + 30.0 * t];
-                // Stage unquantized channel values flat, then quantize the
-                // whole row in one pass the vectorizer can chew through.
-                for (px, v3) in vals_row.chunks_exact_mut(3).enumerate() {
-                    let n = &noise_row[px * 4..px * 4 + 3];
-                    v3[0] = base[0] + n[0];
-                    v3[1] = base[1] + n[1];
-                    v3[2] = base[2] + n[2];
+                for v3 in pre.chunks_exact_mut(3) {
+                    v3.copy_from_slice(&base);
                 }
-                for (o, &v) in row.iter_mut().zip(vals_row.iter()) {
-                    *o = quantize(v);
-                }
-                continue;
-            }
-            // Ground row: view distance from the flat-ground projection.
-            let d = cfg.cam_height * fy / (yf - cy);
-            // Local road frame at the row's approximate arclength. Using the
-            // forward component of the view ray keeps side cameras roughly
-            // consistent.
-            let row_s = scene.ego_s + d * cfg.cam_yaws[cam].cos();
-            let c = scene.track.pos_at(row_s.max(0.0));
-            let tdir = scene.track.dir_at(row_s.max(0.0));
-            let nrm = tdir.perp();
-            // Row invariants: every pixel of the row shares the same view
-            // depth, so the forward offset, pixel footprint, and marking
-            // half-width hoist out of the pixel loop.
-            let row_base = cam_pos + fwd * d;
-            let ground_px_size = d / fx; // meters per pixel at this depth
-            let mark_halfwidth = (0.09f64).max(ground_px_size * 0.5);
-            for (px, v3) in vals_row.chunks_exact_mut(3).enumerate() {
-                let l = -((px as f64 + 0.5) - cx) * d / fx;
-                let wp = row_base + left * l;
-                let rel = wp - c;
-                let lat = nrm.dot(rel);
-                let along = row_s + tdir.dot(rel);
+            } else {
+                // Ground row: view distance from the flat-ground projection.
+                let d = cfg.cam_height * fy / (yf - cy);
+                // Local road frame at the row's approximate arclength.
+                // Using the forward component of the view ray keeps side
+                // cameras roughly consistent.
+                let row_s = scene.ego_s + d * cfg.cam_yaws[cam].cos();
+                let c = scene.track.pos_at(row_s.max(0.0));
+                let tdir = scene.track.dir_at(row_s.max(0.0));
+                let nrm = tdir.perp();
+                // Row invariants: every pixel of the row shares the same
+                // view depth, so the forward offset, pixel footprint, and
+                // marking half-width hoist out of the pixel loop.
+                let row_base = cam_pos + fwd * d;
+                let ground_px_size = d / fx; // meters per pixel at this depth
+                let mark_halfwidth = (0.09f64).max(ground_px_size * 0.5);
+                for (px, v3) in pre.chunks_exact_mut(3).enumerate() {
+                    let l = -((px as f64 + 0.5) - cx) * d / fx;
+                    let wp = row_base + left * l;
+                    let rel = wp - c;
+                    let lat = nrm.dot(rel);
+                    let along = row_s + tdir.dot(rel);
 
-                let on_road = (-LANE_WIDTH / 2.0 - 0.3..=1.5 * LANE_WIDTH + 0.3).contains(&lat);
-                let marking = marking_at(lat, along, mark_halfwidth);
-                let base: [f64; 3] = if marking {
-                    [205.0, 205.0, 198.0]
-                } else if on_road {
-                    [56.0, 56.0, 59.0]
-                } else {
-                    [76.0, 94.0, 52.0]
-                };
-                // World-anchored texture (0.5 m cells).
-                let cellx = (wp.x * 2.0).floor() as i64 as u64;
-                let celly = (wp.y * 2.0).floor() as i64 as u64;
-                let tex = hash_amp(cellx, celly) * cfg.texture_amp;
-                let n = &noise_row[px * 4..px * 4 + 3];
-                v3[0] = base[0] + tex + n[0];
-                v3[1] = base[1] + tex + n[1];
-                v3[2] = base[2] + tex + n[2];
+                    let on_road = (-LANE_WIDTH / 2.0 - 0.3..=1.5 * LANE_WIDTH + 0.3).contains(&lat);
+                    let marking = marking_at(lat, along, mark_halfwidth);
+                    let base: [f64; 3] = if marking {
+                        [205.0, 205.0, 198.0]
+                    } else if on_road {
+                        [56.0, 56.0, 59.0]
+                    } else {
+                        [76.0, 94.0, 52.0]
+                    };
+                    // World-anchored texture (0.5 m cells).
+                    let cellx = (wp.x * 2.0).floor() as i64 as u64;
+                    let celly = (wp.y * 2.0).floor() as i64 as u64;
+                    let tex = hash_amp(cellx, celly) * cfg.texture_amp;
+                    v3[0] = base[0] + tex;
+                    v3[1] = base[1] + tex;
+                    v3[2] = base[2] + tex;
+                }
             }
-            for (o, &v) in row.iter_mut().zip(vals_row.iter()) {
-                *o = quantize(v);
+
+            // --- stage: vehicle boxes crossing this row, far to near ---
+            for b in boxes.iter().filter(|b| (b.y0..b.y1).contains(&py)) {
+                let v = ((py as f64 - b.y0 as f64) / (b.y1 - b.y0).max(1) as f64 * 4.0) as usize;
+                let span_w = (b.x1 - b.x0).max(1) as f64;
+                for (v3, px) in pre[b.x0 * 3..b.x1 * 3].chunks_exact_mut(3).zip(b.x0..) {
+                    let u = ((px as f64 - b.x0 as f64) / span_w * 4.0) as usize;
+                    let tex = b.panel[u][v];
+                    v3[0] = b.base[0] + tex;
+                    v3[1] = b.base[1] + tex;
+                    v3[2] = b.base[2] + tex;
+                }
+            }
+
+            // --- per-frame noise and quantize, once per channel ---
+            // Two stride-1 passes, integer hashes then float convert + add
+            // + quantize, so each loop body stays in one vector domain.
+            for (hv, &k) in hashes.iter_mut().zip(&keys[py * 3 * w..][..3 * w]) {
+                *hv = mix(noise_key ^ k);
+            }
+            let row = &mut img.data[py * 3 * w..][..3 * w];
+            for ((o, &p), &hv) in row.iter_mut().zip(pre.iter()).zip(hashes.iter()) {
+                let n = ((hv >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * noise_amp;
+                *o = quantize(p + n);
             }
         }
     });
-
-    // --- vehicles, far to near ---
-    // Allocation-free draw-order selection: repeatedly pick the deepest
-    // undrawn NPC (ties broken by original index), which reproduces the
-    // order of a stable descending sort without a scratch vector. Scenes
-    // beyond the bitmask width fall back to a sorted index list.
-    let n_npcs = scene.npcs.len();
-    let depth = |i: usize| {
-        let rel = scene.npcs[i].pose(scene.track).pos - cam_pos;
-        fwd.dot(rel)
-    };
-    let draw_npc = |i: usize, img: &mut Image| {
-        let npc = &scene.npcs[i];
-        let pose = npc.pose(scene.track);
-        let rel = pose.pos - cam_pos;
-        let f = fwd.dot(rel);
-        let l = left.dot(rel);
-        if !(1.5..=95.0).contains(&f) {
-            return;
-        }
-        let px_center = cx - fx * l / f;
-        let py_bottom = cy + fy * cfg.cam_height / f;
-        let width_px = fx * npc.width / f;
-        let height_px = fy * 1.45 / f;
-        let x0 = (px_center - width_px / 2.0).floor().max(0.0) as usize;
-        let x1 = (px_center + width_px / 2.0).ceil().min(w as f64) as usize;
-        let y1 = py_bottom.min(h as f64).max(0.0) as usize;
-        let y0 = (py_bottom - height_px).floor().max(0.0) as usize;
-        if x0 >= x1 || y0 >= y1 {
-            return;
-        }
-        // Vehicle paint: strongly blue signature, shaded by distance and
-        // paint variety (the perception kernel keys on blueness).
-        let fade = 1.0 / (1.0 + 0.006 * f);
-        let shade = npc.shade as f64 * 10.0;
-        let base =
-            [(38.0 + shade) * fade, (42.0 + shade) * fade, (205.0 + shade).min(235.0) * fade];
-        let span_w = (x1 - x0).max(1) as f64;
-        let span = x1 - x0;
-        // Texture anchored to the vehicle body (4×4 panels) so the pattern
-        // shifts with the projected box. The panel coordinates are the only
-        // inputs to the texture key, so all 16 hashes hoist out of the
-        // pixel loops.
-        let mut panel = [[0.0f64; 4]; 4];
-        for (u, col) in panel.iter_mut().enumerate() {
-            for (v, t) in col.iter_mut().enumerate() {
-                *t = hash_amp(0xCAFE ^ (i as u64) << 8, (u as u64) * 16 + v as u64) * 14.0;
-            }
-        }
-        RENDER_SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            s.hashes.resize(4 * w, 0);
-            s.noise.resize(4 * w, 0.0);
-            s.vals.resize(3 * w, 0.0);
-            let RenderScratch { hashes, noise, vals } = s;
-            for py in y0..y1 {
-                let v = ((py as f64 - y0 as f64) / (y1 - y0).max(1) as f64 * 4.0) as usize;
-                // Same flat affine noise strip as the background pass
-                // (`n = hash * pixel_noise * 2.0` equals `hash *
-                // noise_amp`: scaling by 2 commutes with rounding), offset
-                // to the box columns, in the same two vector-domain passes.
-                let hash_box = &mut hashes[..4 * span];
-                let noise_box = &mut noise[..4 * span];
-                for (j, slot) in hash_box.iter_mut().enumerate() {
-                    *slot = mix(noise_key ^ mix(((x0 * 4 + j) * 4096 + py) as u64));
-                }
-                for (slot, &hv) in noise_box.iter_mut().zip(hash_box.iter()) {
-                    *slot = ((hv >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * noise_amp;
-                }
-                let vals_box = &mut vals[..3 * span];
-                for (dx, v3) in vals_box.chunks_exact_mut(3).enumerate() {
-                    let px = x0 + dx;
-                    let u = ((px as f64 - x0 as f64) / span_w * 4.0) as usize;
-                    let tex = panel[u][v];
-                    let n = &noise_box[dx * 4..dx * 4 + 3];
-                    v3[0] = (base[0] + tex) + n[0];
-                    v3[1] = (base[1] + tex) + n[1];
-                    v3[2] = (base[2] + tex) + n[2];
-                }
-                let row = &mut img.data[(py * w + x0) * 3..][..span * 3];
-                for (o, &vv) in row.iter_mut().zip(vals_box.iter()) {
-                    *o = quantize(vv);
-                }
-            }
-        });
-    };
-    if n_npcs <= 128 {
-        let mut drawn: u128 = 0;
-        for _ in 0..n_npcs {
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..n_npcs {
-                if drawn & (1u128 << i) != 0 {
-                    continue;
-                }
-                let d = depth(i);
-                if best.is_none_or(|(_, bd)| d > bd) {
-                    best = Some((i, d));
-                }
-            }
-            let (i, _) = best.expect("an undrawn NPC remains");
-            drawn |= 1u128 << i;
-            draw_npc(i, img);
-        }
-    } else {
-        let mut order: Vec<usize> = (0..n_npcs).collect();
-        order.sort_by(|&a, &b| depth(b).partial_cmp(&depth(a)).expect("finite depths"));
-        for i in order {
-            draw_npc(i, img);
-        }
-    }
 }
 
 /// Whether track coordinates `(lat, along)` fall on a lane marking.
